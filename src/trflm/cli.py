@@ -51,8 +51,7 @@ SCHEMA = {
         "optimizer": (str, "adam"), "optimizer_zeta": (str, None),
         "lr_theta": (float, 1e-3), "lr_zeta": (float, 1e-2),
         "schedule": (str, "fixed"), "seed": (int, 0),
-        "async_noise": (bool, False), "oracle_metrics": (bool, False),
-        "oracle_budget": (int, 10_000_000),
+        "oracle_metrics": (bool, False), "oracle_budget": (int, 10_000_000),
     },
     "lstm": {
         "emb_dim": (int, 16), "hidden_dim": (int, 16), "layers": (int, 1),
@@ -316,8 +315,7 @@ def cmd_train_trf(args) -> int:
         optimizer_theta=cfg.get("training", "optimizer"),
         optimizer_zeta=cfg.get("training", "optimizer_zeta") or cfg.get("training", "optimizer"),
         schedule=cfg.get("training", "schedule"), seed=seed,
-        zeta_init=cfg.get("model", "zeta_init"),
-        async_noise=cfg.get("training", "async_noise"))
+        zeta_init=cfg.get("model", "zeta_init"))
 
     out = _outdir(cfg)
     steps_tmp = os.path.join(out, "metrics_steps.csv.tmp")
@@ -424,7 +422,7 @@ def cmd_rescore(args) -> int:
                     f"{r.deletions},{r.ref_tokens},{fmt(r.rate)}")
     weights_cfg = cfg.get("rescore", "weights")
     if weights_cfg == "grid":
-        weights, _ = evalkit.grid_search_weights(members, nbests, refs)
+        weights, _ = evalkit.grid_search_weights(members, nbests, refs, scores=scores)
     else:
         weights = tuple(float(x) for x in weights_cfg.split())
         if len(weights) != len(members):

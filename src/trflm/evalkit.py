@@ -93,13 +93,18 @@ class NgramScorer:
 
 
 class LstmScorer:
+    """Zero probability (-inf) for a sentence longer than the LSTM's max_len."""
+
     kind = "lstm"
 
     def __init__(self, params: lstmlm.LstmLmParams, vocab: Vocabulary, level: str = "word"):
         self.params, self.vocab, self.level = params, vocab, level
 
     def logprob(self, text: str) -> float:
-        return lstmlm.lstm_lm_logprob(self.params, encode(text, self.vocab, True, self.level))
+        x = encode(text, self.vocab, True, self.level)
+        if len(x) > self.params.config.max_len:
+            return -np.inf
+        return lstmlm.lstm_lm_logprob(self.params, x)
 
 
 class TrfScorer:
@@ -243,9 +248,10 @@ def rescore_with_weights(members, weights, nbests, scores=None) -> dict[str, str
     return best
 
 
-def grid_search_weights(members, nbests, refs, step: float = 0.1):
+def grid_search_weights(members, nbests, refs, step: float = 0.1, scores=None):
     """Simplex grid search minimizing corpus WER; first minimizer wins."""
-    scores = precompute_member_scores(members, nbests)
+    if scores is None:
+        scores = precompute_member_scores(members, nbests)
     best_w, best_rate = None, np.inf
     for w in _simplex_grid(len(members), step):
         picked = rescore_with_weights(members, w, nbests, scores)

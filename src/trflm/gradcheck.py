@@ -15,13 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import LengthPrior, Sequence, Vocabulary
+from .corpus import LengthPrior, Sequence, Vocabulary, group_by_length, stack_ids
 from .nce import nce_gradients, nce_objective
 from .ngram import train_ngram
 from .noise import NoiseDistribution, draw_noise_batch
 from .seqnet.potential import (NeuralPotential, PotentialConfig,
-                               init_potential_params, potential_backward,
-                               potential_forward)
+                               init_potential_params, potential_backward_batch,
+                               potential_phi_batch)
 from .trf import TrfModel, UniformReference
 from .util import derive_rng
 
@@ -69,8 +69,6 @@ KINK_MARGIN = 2e-3   # min |conv preactivation| for a finite-difference-safe ins
 
 def _min_conv_preactivation(params, seqs) -> float:
     """Smallest |ReLU preactivation| over all conv layers and sequences."""
-    from .corpus import group_by_length, stack_ids
-    from .seqnet.potential import potential_phi_batch
     worst = np.inf
     for _, idx in group_by_length(seqs).items():
         _, cache = potential_phi_batch(params, stack_ids([seqs[i] for i in idx]))
@@ -129,14 +127,16 @@ def _random_instance(seed: int):
 
 
 def check_potential(seed: int, h: float = 1e-4) -> GradCheckReport:
-    """d phi / d theta against central differences on one random instance."""
+    """d phi / d theta against central differences on one random instance,
+    through the batch API with N = 1."""
     model, _, _, _, seq = _random_instance(seed)
     params = model.potential.params
+    ids = stack_ids([seq])
     scale = 1.7   # exercise the upstream-scale path, not just scale 1
-    _, cache = potential_forward(params, seq)
-    analytic = potential_backward(params, cache, scale)
+    _, cache = potential_phi_batch(params, ids)
+    analytic = potential_backward_batch(params, cache, np.array([scale]))
     numeric = numeric_grad_tensors(
-        lambda: scale * potential_forward(params, seq)[0], params.tensors, h)
+        lambda: scale * float(potential_phi_batch(params, ids)[0][0]), params.tensors, h)
     errs = relative_errors(analytic, numeric)
     worst = max(errs, key=errs.get)
     return GradCheckReport(f"phi/theta seed={seed}", worst, errs[worst], 1e-5)

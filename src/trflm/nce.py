@@ -21,14 +21,13 @@ w_data = (1-P0)/|D| and w_noise = -P0/|D|,
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import Sequence, group_by_length, stack_ids
-from .noise import NoiseBatch, NoiseDistribution, AsyncNoiseProducer, \
-    noise_batch_stream, noise_logprob
+from .noise import NoiseBatch, NoiseDistribution, draw_noise_batch, noise_logprob
+from .seqnet.potential import potential_backward_batch, potential_phi_batch
 from .trf import TrfModel, exact_zeta, log_joint, log_joint_batch, \
     nll as trf_nll, zeta_init_vector
 from .util import derive_rng, fmt, log_sigmoid
@@ -44,10 +43,8 @@ class NceConfig:
     optimizer_theta: str = "adam"
     optimizer_zeta: str = "adam"
     schedule: str = "fixed"            # or "halve-each-epoch"
-    seed: int = 0
+    seed: int = 0                      # two runs with one seed are bit-identical
     zeta_init: str = "l-log-v"         # "linear", "zeros", or "keep"
-    async_noise: bool = False          # strict deterministic mode when False
-    queue_size: int = 4
 
     def __post_init__(self):
         if self.nu < 1:
@@ -77,15 +74,29 @@ def classification_weights(p0, data_count: int):
     return (1.0 - p0) / data_count, -p0 / data_count
 
 
-def _log_densities(model: TrfModel, nd: NoiseDistribution, data_batch,
-                   noise_batch: NoiseBatch):
-    log_p_d = np.array([log_joint(model, s) for s in data_batch])
-    log_pn_d = np.array([noise_logprob(nd, s) for s in data_batch])
-    seqs_n = noise_batch.sequences
-    log_p_n = np.empty(len(seqs_n))
-    for l, idx in group_by_length(seqs_n).items():
-        log_p_n[idx] = log_joint_batch(model, stack_ids([seqs_n[i] for i in idx]))
-    return log_p_d, log_pn_d, log_p_n, np.array(noise_batch.log_pn)
+def _score(model: TrfModel, nd: NoiseDistribution, data_batch,
+           noise_batch: NoiseBatch, forward):
+    """Log-odds log p - log nu - log p_n of the data rows then the noise rows,
+    and (length, row indices, cache) per length bucket. Data and noise rows of
+    one length share one forward(ids) -> (phi, cache) call."""
+    nu = noise_batch.nu
+    if len(noise_batch.sequences) != nu * len(data_batch):
+        raise ValueError("noise batch size must be nu * data batch size")
+    seqs = list(data_batch) + list(noise_batch.sequences)
+    log_pn = np.concatenate([[noise_logprob(nd, s) for s in data_batch], noise_batch.log_pn])
+    log_p = np.empty(len(seqs))
+    buckets = []
+    for l, idx in group_by_length(seqs).items():
+        ids = stack_ids([seqs[i] for i in idx])
+        phi, cache = forward(ids)
+        log_p[idx] = log_joint_batch(model, ids, phi)
+        buckets.append((l, idx, cache))
+    return log_p - np.log(nu) - log_pn, buckets
+
+
+def _objective(delta: np.ndarray, data_count: int, nu: int) -> float:
+    return float(np.mean(log_sigmoid(delta[:data_count]))
+                 + nu * np.mean(log_sigmoid(-delta[data_count:])))
 
 
 def posterior_data(model: TrfModel, nd: NoiseDistribution, x: Sequence,
@@ -101,46 +112,35 @@ def posterior_data(model: TrfModel, nd: NoiseDistribution, x: Sequence,
 
 def nce_objective(model: TrfModel, nd: NoiseDistribution, data_batch,
                   noise_batch: NoiseBatch) -> float:
-    nu = noise_batch.nu
-    if len(noise_batch.sequences) != nu * len(data_batch):
-        raise ValueError("noise batch size must be nu * data batch size")
-    log_p_d, log_pn_d, log_p_n, log_pn_n = _log_densities(model, nd, data_batch, noise_batch)
-    delta_d = log_p_d - np.log(nu) - log_pn_d
-    delta_n = log_p_n - np.log(nu) - log_pn_n
-    return float(np.mean(log_sigmoid(delta_d)) + nu * np.mean(log_sigmoid(-delta_n)))
+    delta, _ = _score(model, nd, data_batch, noise_batch,
+                      lambda ids: (model.potential.phi_batch(ids), None))
+    return _objective(delta, len(data_batch), noise_batch.nu)
 
 
 def nce_gradients(model: TrfModel, nd: NoiseDistribution, data_batch,
                   noise_batch: NoiseBatch):
-    """Ascent gradients of J for theta and zeta, plus step statistics."""
-    nu = noise_batch.nu
-    if len(noise_batch.sequences) != nu * len(data_batch):
-        raise ValueError("noise batch size must be nu * data batch size")
-    log_p_d, log_pn_d, log_p_n, log_pn_n = _log_densities(model, nd, data_batch, noise_batch)
-    delta_d = log_p_d - np.log(nu) - log_pn_d
-    delta_n = log_p_n - np.log(nu) - log_pn_n
-    p0_d = np.exp(log_sigmoid(delta_d))
-    p0_n = np.exp(log_sigmoid(delta_n))
-    j = float(np.mean(log_sigmoid(delta_d)) + nu * np.mean(log_sigmoid(-delta_n)))
+    """Ascent gradients of J for theta and zeta, plus step statistics. Each
+    length bucket is forwarded once; its cache serves the backward pass."""
+    params = model.potential.params
+    delta, buckets = _score(model, nd, data_batch, noise_batch,
+                            lambda ids: potential_phi_batch(params, ids))
+    n = len(data_batch)
+    p0 = np.exp(log_sigmoid(delta))
+    w_d, w_n = classification_weights(p0, n)
+    scales = np.concatenate([w_d[:n], w_n[n:]])
 
-    w_d, _ = classification_weights(p0_d, len(data_batch))
-    _, w_n = classification_weights(p0_n, len(data_batch))
-    seqs = list(data_batch) + list(noise_batch.sequences)
-    scales = np.concatenate([w_d, w_n])
-
-    grad_theta = model.potential.params.zeros_like()
+    grad_theta = params.zeros_like()
     grad_zeta = np.zeros_like(model.zeta)
-    for l, idx in group_by_length(seqs).items():
-        ids = stack_ids([seqs[i] for i in idx])
-        g = model.potential.grads_batch(ids, scales[idx])
+    for l, idx, cache in buckets:
+        g = potential_backward_batch(params, cache, scales[idx])
         for k in grad_theta:
             grad_theta[k] += g[k]
         grad_zeta[l - 1] -= float(scales[idx].sum())
 
     stats = NceStepStats(
-        j=j,
-        mean_post_data=float(p0_d.mean()),
-        mean_post_noise=float(p0_n.mean()),
+        j=_objective(delta, n, noise_batch.nu),
+        mean_post_data=float(p0[:n].mean()),
+        mean_post_noise=float(p0[n:].mean()),
         grad_norm_theta=float(np.sqrt(sum(float((g ** 2).sum()) for g in grad_theta.values()))),
         grad_norm_zeta=float(np.sqrt((grad_zeta ** 2).sum())),
     )
@@ -191,6 +191,7 @@ class EpochRecord:
     train_nll: float
     valid_nll: float | None
     zeta_gap_sq: float | None
+    zeta_gaps: dict[int, float] | None   # {l: zeta_l - log Z_l}
 
 
 @dataclass
@@ -227,9 +228,6 @@ def train(model: TrfModel, nd: NoiseDistribution, dataset, config: NceConfig,
     shuffle_rng = derive_rng(config.seed, "shuffle")
     noise_rng = derive_rng(config.seed, "noise")
     sizes = _batch_sizes(len(dataset), config.batch_size)
-    all_sizes = itertools.chain.from_iterable(itertools.repeat(sizes, config.epochs))
-    batches = noise_batch_stream(nd, all_sizes, config.nu, noise_rng)
-    noise_iter = AsyncNoiseProducer(batches, config.queue_size) if config.async_noise else batches
 
     opt_theta = make_optimizer(config.optimizer_theta)
     opt_zeta = make_optimizer(config.optimizer_zeta)
@@ -248,7 +246,7 @@ def train(model: TrfModel, nd: NoiseDistribution, dataset, config: NceConfig,
         for bsz in sizes:
             data_batch = [dataset[i] for i in order[pos:pos + bsz]]
             pos += bsz
-            noise_batch = next(noise_iter)
+            noise_batch = draw_noise_batch(nd, bsz, config.nu, noise_rng)
             g_theta, g_zeta, stats = nce_gradients(model, nd, data_batch, noise_batch)
             for name, g in g_theta.items():
                 if not np.all(np.isfinite(g)):
@@ -266,10 +264,11 @@ def train(model: TrfModel, nd: NoiseDistribution, dataset, config: NceConfig,
                                f"{fmt(stats.grad_norm_zeta)}\n")
             step += 1
         train_nll = trf_nll(model, dataset, "stored")
-        valid_nll = gap_sq = None
+        valid_nll = gap_sq = gaps = None
         if oracle_metrics:
             zs = exact_zeta(model, None, oracle_budget)   # one enumeration per epoch
-            gap_sq = float(sum((float(model.zeta[l - 1]) - z) ** 2 for l, z in zs.items()))
+            gaps = {l: float(model.zeta[l - 1]) - z for l, z in zs.items()}
+            gap_sq = float(sum(g ** 2 for g in gaps.values()))
             if valid:
                 true_zeta = np.array(model.zeta)
                 for l, z in zs.items():
@@ -277,7 +276,7 @@ def train(model: TrfModel, nd: NoiseDistribution, dataset, config: NceConfig,
                 shadow = TrfModel(model.potential, true_zeta, model.length_prior,
                                   model.reference, model.vocab)
                 valid_nll = trf_nll(shadow, valid, "stored")
-        record = EpochRecord(epoch, lr_t, lr_z, train_nll, valid_nll, gap_sq)
+        record = EpochRecord(epoch, lr_t, lr_z, train_nll, valid_nll, gap_sq, gaps)
         result.epochs.append(record)
         if epoch_log:
             epoch_log.write(f"{epoch},{fmt(lr_t)},{fmt(lr_z)},{fmt(train_nll)},"

@@ -2,15 +2,11 @@
 
 Noise factorizes as p_n(l, x^l) = pi_l * p_n(x^l): a length drawn from the
 empirical length prior, then a payload from the fixed-length restriction of an
-n-gram model. Noise is independent of the model being trained, so batches can
-be produced ahead of the consumer by a background thread feeding a bounded
-queue; the strict path draws them inline from the same stream, yielding
-identical batches for a given seed.
+n-gram model. Training draws each batch inline from one seeded generator, so a
+seed fixes every batch.
 """
 from __future__ import annotations
 
-import queue
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,13 +53,6 @@ def draw_noise_batch(nd: NoiseDistribution, data_batch_size: int, nu: int,
     return NoiseBatch(seqs, log_pn, nu)
 
 
-def noise_batch_stream(nd: NoiseDistribution, sizes, nu: int,
-                       rng: np.random.Generator):
-    """Generator of NoiseBatch items for the given data-batch sizes."""
-    for bsz in sizes:
-        yield draw_noise_batch(nd, bsz, nu, rng)
-
-
 def dump_batch(batch: NoiseBatch, vocab) -> str:
     """Debug rendering: one `log_pn<TAB>symbols` line per noise sequence."""
     lines = [f"# nu={batch.nu} size={len(batch.sequences)}"]
@@ -72,37 +61,3 @@ def dump_batch(batch: NoiseBatch, vocab) -> str:
         lines.append(f"{lp!r}\t{toks}")
     return "\n".join(lines) + "\n"
 
-
-class AsyncNoiseProducer:
-    """Runs a noise-batch iterator in a producer thread behind a bounded
-    queue. Iteration order and contents are identical to consuming the
-    wrapped iterator directly."""
-
-    _DONE = object()
-
-    def __init__(self, batches, max_buffered: int = 4):
-        self._queue: queue.Queue = queue.Queue(maxsize=max_buffered)
-        self._error = None
-        self._thread = threading.Thread(target=self._run, args=(batches,), daemon=True)
-        self._thread.start()
-
-    def _run(self, batches):
-        try:
-            for b in batches:
-                self._queue.put(b)
-        except BaseException as exc:   # surfaced on the consumer side
-            self._error = exc
-        finally:
-            self._queue.put(self._DONE)
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> NoiseBatch:
-        item = self._queue.get()
-        if item is self._DONE:
-            self._thread.join()
-            if self._error is not None:
-                raise self._error
-            raise StopIteration
-        return item

@@ -5,8 +5,7 @@
 distribution and as a rescoring member. Everything is float64 numpy.
 """
 from .potential import (PotentialConfig, PotentialParams, NeuralPotential,
-                        init_potential_params, potential_forward,
-                        potential_backward, potential_phi_batch,
+                        init_potential_params, potential_phi_batch,
                         potential_backward_batch)
 from .lstmlm import (LstmLmConfig, LstmLmParams, init_lstm_lm_params,
                      lstm_lm_logprob, lstm_lm_logprob_batch,
@@ -14,8 +13,7 @@ from .lstmlm import (LstmLmConfig, LstmLmParams, init_lstm_lm_params,
 
 __all__ = [
     "PotentialConfig", "PotentialParams", "NeuralPotential",
-    "init_potential_params", "potential_forward", "potential_backward",
-    "potential_phi_batch", "potential_backward_batch",
+    "init_potential_params", "potential_phi_batch", "potential_backward_batch",
     "LstmLmConfig", "LstmLmParams", "init_lstm_lm_params",
     "lstm_lm_logprob", "lstm_lm_logprob_batch", "lstm_lm_loss_grads",
     "lstm_lm_train_step",

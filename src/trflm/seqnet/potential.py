@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..corpus import Sequence
 from . import layers
 
 
@@ -107,7 +106,7 @@ def potential_phi_batch(params: PotentialParams, ids) -> tuple[np.ndarray, dict]
     cfg = params.config
     t = params.tensors
     ids = _check_ids(cfg, ids)
-    cache: dict = {"ids": ids, "params": params, "consumed": False}
+    cache: dict = {"ids": ids}
 
     emb, _ = layers.embedding_forward(t["emb"], ids)
     x = emb
@@ -189,26 +188,8 @@ def potential_backward_batch(params: PotentialParams, cache: dict,
     return grads
 
 
-def potential_forward(params: PotentialParams, x: Sequence) -> tuple[float, dict]:
-    """phi for one sequence plus an opaque, single-use forward record."""
-    ids = np.array([x.ids], dtype=np.int64)
-    phi, cache = potential_phi_batch(params, ids)
-    return float(phi[0]), cache
-
-
-def potential_backward(params: PotentialParams, cache: dict,
-                       upstream_scale: float) -> dict[str, np.ndarray]:
-    """upstream_scale * d phi / d theta for a cache from potential_forward."""
-    if cache.get("params") is not params:
-        raise ValueError("cache does not belong to these parameters")
-    if cache.get("consumed"):
-        raise ValueError("forward cache already consumed")
-    cache["consumed"] = True
-    return potential_backward_batch(params, cache, np.array([upstream_scale]))
-
-
 class NeuralPotential:
-    """Potential-function handle: batched scoring plus weighted gradients."""
+    """Potential-function handle: the parameters plus batched scoring."""
 
     def __init__(self, params: PotentialParams):
         self.params = params
@@ -219,10 +200,3 @@ class NeuralPotential:
 
     def phi_batch(self, ids) -> np.ndarray:
         return potential_phi_batch(self.params, ids)[0]
-
-    def phi(self, x: Sequence) -> float:
-        return potential_forward(self.params, x)[0]
-
-    def grads_batch(self, ids, scales) -> dict[str, np.ndarray]:
-        _, cache = potential_phi_batch(self.params, ids)
-        return potential_backward_batch(self.params, cache, scales)

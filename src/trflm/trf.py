@@ -84,7 +84,7 @@ class LstmReference:
 
 @dataclass
 class TrfModel:
-    potential: object            # NeuralPotential or any phi/phi_batch provider
+    potential: object            # NeuralPotential or any phi_batch provider
     zeta: np.ndarray             # zeta[l-1] is the log-normalizer of length l
     length_prior: LengthPrior
     reference: object
@@ -118,15 +118,17 @@ def zeta_init_vector(kind: str, m: int, vocab_size: int) -> np.ndarray:
     raise ValueError(f"unknown zeta init: {kind!r}")
 
 
-def log_joint_batch(model: TrfModel, ids: np.ndarray) -> np.ndarray:
+def log_joint_batch(model: TrfModel, ids: np.ndarray, phi=None) -> np.ndarray:
     """log p(l, x^l) for a batch of same-length sequences (possibly
-    unnormalized when zeta differs from the true log Z)."""
+    unnormalized when zeta differs from the true log Z). phi, when given, is
+    the potential already computed for these rows."""
     ids = np.asarray(ids, dtype=np.int64)
     l = ids.shape[1]
     log_pi = model.length_prior.log_prob(l)
     if log_pi == -np.inf:
         return np.full(ids.shape[0], -np.inf)
-    phi = model.potential.phi_batch(ids)
+    if phi is None:
+        phi = model.potential.phi_batch(ids)
     return log_pi + model.reference.log_q_batch(ids) + phi - float(model.zeta[l - 1])
 
 

@@ -18,15 +18,6 @@ def logsumexp(x) -> float:
     return hi + float(np.log(np.sum(np.exp(x - hi))))
 
 
-def log_add(a: float, b: float) -> float:
-    """log(e^a + e^b), safe at -inf."""
-    if a == -np.inf:
-        return b
-    if b == -np.inf:
-        return a
-    return float(np.logaddexp(a, b))
-
-
 def log_sigmoid(x):
     """log(1/(1+e^-x)) elementwise, stable for large |x|."""
     return -np.logaddexp(0.0, -np.asarray(x, dtype=np.float64))

@@ -88,9 +88,9 @@ def test_config_type_errors_name_key():
     cfg = parse_config_text("[training]\nepochs = soon\n")
     with pytest.raises(ConfigError, match="epochs"):
         cfg.get("training", "epochs")
-    cfg = parse_config_text("[training]\nasync_noise = maybe\n")
-    with pytest.raises(ConfigError, match="async_noise"):
-        cfg.get("training", "async_noise")
+    cfg = parse_config_text("[training]\noracle_metrics = maybe\n")
+    with pytest.raises(ConfigError, match="oracle_metrics"):
+        cfg.get("training", "oracle_metrics")
 
 
 def test_config_roundtrip_idempotent():
@@ -239,12 +239,24 @@ def test_train_ngram_and_lstm_deterministic_artifacts(micro):
         assert open(f"micro/out/{name}", "rb").read() == data
 
 
-def test_rescore_end_to_end(micro, capsys):
+def train_rescore_members(weights):
+    """Train the micro n-gram, LSTM and TRF models and write rescore.ini
+    combining them with the given weights."""
     main(["train-ngram", "-c", "micro.ini"])
     main(["train-lstm", "-c", "micro.ini"])
     main(["train-trf", "-c", "micro.ini"])
-    capsys.readouterr()
+    with open("rescore.ini", "w") as f:
+        f.write("[rescore]\n"
+                "vocab = micro/out/vocab.txt\n"
+                "level = char\n"
+                "members = ngram:micro/out/ngram.json lstm:micro/out/lstm.json"
+                " trf:micro/out/trf.json\n"
+                f"weights = {weights}\n"
+                "[output]\n"
+                "dir = micro/out\n")
 
+
+def write_micro_nbest(n_utts=6, n_hyps=4):
     from trflm import evalkit, ngram as ngram_mod
     from trflm.corpus import LengthPrior, load_vocabulary
     vocab = load_vocabulary("micro/out/vocab.txt")
@@ -252,24 +264,54 @@ def test_rescore_end_to_end(micro, capsys):
     prior = LengthPrior(np.array([0, 0, 0.5, 0.5, 0.0]))
     nbests, refs = evalkit.make_nbest_benchmark(model, vocab, prior,
                                                 np.random.default_rng(1),
-                                                n_utts=6, n_hyps=4)
+                                                n_utts=n_utts, n_hyps=n_hyps)
     evalkit.write_nbest_file(nbests, "nbest.txt")
     evalkit.write_refs_file(refs, "refs.txt")
-    with open("rescore.ini", "w") as f:
-        f.write("[rescore]\n"
-                "vocab = micro/out/vocab.txt\n"
-                "level = char\n"
-                "members = ngram:micro/out/ngram.json lstm:micro/out/lstm.json"
-                " trf:micro/out/trf.json\n"
-                "weights = grid\n"
-                "[output]\n"
-                "dir = micro/out\n")
+
+
+def test_rescore_end_to_end(micro, capsys):
+    train_rescore_members("grid")
+    capsys.readouterr()
+    write_micro_nbest()
     assert main(["rescore", "-c", "rescore.ini", "--nbest", "nbest.txt",
                  "--refs", "refs.txt"]) == 0
     report = open("micro/out/wer_report.csv").read().strip().splitlines()
     assert report[0].startswith("model,")
     assert [r.split(",")[0] for r in report[1:]] == ["ngram", "lstm", "trf", "combined"]
     assert os.path.exists("micro/out/best.txt")
+
+
+def test_rescore_scores_each_hypothesis_once_per_member(micro, capsys, monkeypatch):
+    from collections import Counter
+    from trflm import evalkit
+    train_rescore_members("grid")
+    write_micro_nbest(n_utts=6, n_hyps=4)
+    calls = Counter()
+    for scorer in (evalkit.NgramScorer, evalkit.LstmScorer, evalkit.TrfScorer):
+        def counted(self, text, real=scorer.logprob):
+            calls[self.kind] += 1
+            return real(self, text)
+        monkeypatch.setattr(scorer, "logprob", counted)
+    assert main(["rescore", "-c", "rescore.ini", "--nbest", "nbest.txt",
+                 "--refs", "refs.txt"]) == 0
+    assert calls == {"ngram": 24, "lstm": 24, "trf": 24}
+
+
+def test_rescore_overlong_hypothesis_is_never_picked(micro, capsys):
+    # "tota" encodes to length 6, past the LSTM's and the TRF's max_len of 5
+    train_rescore_members("0.2 0.8 0.0")
+    with open("nbest.txt", "w") as f:
+        f.write("uttA 0 50.0 t o t a\nuttA 1 0.0 t o\nuttA 2 -1.0 t a\n"
+                "uttB 0 0.0 a n\nuttB 1 -1.0 n a\n")
+    with open("refs.txt", "w") as f:
+        f.write("uttA t o\nuttB a n\n")
+    capsys.readouterr()
+    assert main(["rescore", "-c", "rescore.ini", "--nbest", "nbest.txt",
+                 "--refs", "refs.txt"]) == 0
+    best = dict(ln.split(" ", 1) for ln in open("micro/out/best.txt").read().splitlines())
+    assert best["uttA"] != "t o t a"
+    report = open("micro/out/wer_report.csv").read().strip().splitlines()
+    assert [r.split(",")[0] for r in report[1:]] == ["ngram", "lstm", "trf", "combined"]
 
 
 def test_reference_vocab_mismatch_is_clean_error(micro, capsys):
@@ -307,14 +349,14 @@ def test_gradcheck_cli_passes_and_detects_faults(capsys, monkeypatch):
     assert "pass" in capsys.readouterr().out
 
     from trflm import gradcheck as gc
-    real = gc.potential_backward
+    real = gc.potential_backward_batch
 
-    def corrupted(params, cache, upstream_scale):
-        grads = real(params, cache, upstream_scale)
+    def corrupted(params, cache, scales):
+        grads = real(params, cache, scales)
         grads["att_beta"] = grads["att_beta"] * 1.01
         return grads
 
-    monkeypatch.setattr(gc, "potential_backward", corrupted)
+    monkeypatch.setattr(gc, "potential_backward_batch", corrupted)
     assert main(["gradcheck", "--seeds", "2"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "att_beta" in out
@@ -322,11 +364,10 @@ def test_gradcheck_cli_passes_and_detects_faults(capsys, monkeypatch):
 
 def test_serialize_roundtrip_bitexact(micro):
     from trflm import serialize
-    from trflm.corpus import Sequence
     main(["train-trf", "-c", "micro.ini"])
     model = serialize.load_trf_bundle("micro/out/trf.json")
     again = serialize.load_trf_bundle("micro/out/trf.json")
     for k, v in model.potential.params.tensors.items():
         assert np.array_equal(v, again.potential.params.tensors[k])
-    x = Sequence((model.vocab.bos, model.vocab.payload_ids[0], model.vocab.eos))
-    assert model.potential.phi(x) == again.potential.phi(x)
+    ids = np.array([(model.vocab.bos, model.vocab.payload_ids[0], model.vocab.eos)])
+    assert model.potential.phi_batch(ids)[0] == again.potential.phi_batch(ids)[0]

@@ -130,6 +130,55 @@ def test_gradient_support_only_touched_lengths(setting):
     assert g_zeta[2] != 0.0
 
 
+def neural_step_setting(setting):
+    """A neural model, a data batch of lengths 3 and 4, and its noise batch."""
+    vocab, pi, nd, data = setting
+    params = init_potential_params(PotentialConfig(vocab_size=vocab.size, emb_dim=3,
+                                                   hidden_dim=3), 5)
+    model = TrfModel(NeuralPotential(params), np.full(4, 0.2), pi, UniformReference(3), vocab)
+    batch = [s for s in data if len(s) > 2]
+    noise = draw_noise_batch(nd, len(batch), 3, np.random.default_rng(4))
+    return model, nd, batch, noise
+
+
+def test_gradients_forward_each_row_once(setting, monkeypatch):
+    from trflm import nce
+    from trflm.seqnet import potential
+    model, nd, batch, noise = neural_step_setting(setting)
+    rows = []
+    real = potential.potential_phi_batch
+
+    def counted(params, ids):
+        rows.append(len(ids))
+        return real(params, ids)
+
+    monkeypatch.setattr(nce, "potential_phi_batch", counted, raising=False)
+    monkeypatch.setattr(potential, "potential_phi_batch", counted)
+    nce_gradients(model, nd, batch, noise)
+    assert sum(rows) == len(batch) + len(noise.sequences)
+    assert len(rows) == len({len(s) for s in batch + list(noise.sequences)})
+
+
+def test_gradients_objective_equals_nce_objective(setting):
+    model, nd, batch, noise = neural_step_setting(setting)
+    _, _, stats = nce_gradients(model, nd, batch, noise)
+    assert stats.j == nce_objective(model, nd, batch, noise)
+
+
+def test_last_epoch_gaps_match_zeta_gap(setting):
+    from trflm.trf import zeta_gap
+    vocab, pi, nd, data = setting
+    params = init_potential_params(PotentialConfig(vocab_size=vocab.size, emb_dim=3,
+                                                   hidden_dim=3), 42)
+    model = TrfModel(NeuralPotential(params), np.zeros(4), pi, UniformReference(3), vocab)
+    cfg = NceConfig(nu=2, batch_size=2, epochs=2, zeta_init="zeros")
+    result = train(model, nd, [s for s in data if len(s) > 2], cfg, oracle_metrics=True)
+    gaps, gap_sq = zeta_gap(model)
+    assert result.epochs[-1].zeta_gaps == gaps
+    assert result.epochs[-1].zeta_gap_sq == gap_sq
+    assert train(model, nd, data[2:], cfg).epochs[-1].zeta_gaps is None
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_gradients_match_finite_differences(seed):
     from trflm.gradcheck import check_nce_theta, check_nce_zeta
@@ -171,13 +220,12 @@ def test_sgd_step():
     assert x[0] == pytest.approx(1.9)
 
 
-def run_training(setting, async_noise, seed=0, epochs=3, zeta_init="zeros"):
+def run_training(setting, seed=0, epochs=3, zeta_init="zeros"):
     vocab, pi, nd, data = setting
     params = init_potential_params(PotentialConfig(vocab_size=vocab.size, emb_dim=3,
                                                    hidden_dim=3), 42)
     model = TrfModel(NeuralPotential(params), np.zeros(4), pi, UniformReference(3), vocab)
-    cfg = NceConfig(nu=2, batch_size=2, epochs=epochs, seed=seed, zeta_init=zeta_init,
-                    async_noise=async_noise)
+    cfg = NceConfig(nu=2, batch_size=2, epochs=epochs, seed=seed, zeta_init=zeta_init)
     steps, epochs_log = io.StringIO(), io.StringIO()
     train(model, nd, [s for s in data if len(s) > 2], cfg,
           oracle_metrics=True, step_log=steps, epoch_log=epochs_log)
@@ -185,23 +233,15 @@ def run_training(setting, async_noise, seed=0, epochs=3, zeta_init="zeros"):
 
 
 def test_training_deterministic_in_strict_mode(setting):
-    m1, s1, e1 = run_training(setting, async_noise=False)
-    m2, s2, e2 = run_training(setting, async_noise=False)
-    assert s1 == s2 and e1 == e2
-    assert np.array_equal(m1.zeta, m2.zeta)
-
-
-def test_async_training_matches_strict(setting):
-    m1, s1, e1 = run_training(setting, async_noise=False)
-    m2, s2, e2 = run_training(setting, async_noise=True)
+    m1, s1, e1 = run_training(setting)
+    m2, s2, e2 = run_training(setting)
     assert s1 == s2 and e1 == e2
     assert np.array_equal(m1.zeta, m2.zeta)
 
 
 def test_training_improves_objective_and_gap(setting):
     # start the normalizers far away (linear init) and watch them close in
-    model, steps_csv, epochs_csv = run_training(setting, False, epochs=300,
-                                                zeta_init="linear")
+    model, steps_csv, epochs_csv = run_training(setting, epochs=300, zeta_init="linear")
     lines = [ln.split(",") for ln in steps_csv.strip().splitlines()[1:]]
     j = [float(r[2]) for r in lines]
     assert np.mean(j[-30:]) > np.mean(j[:30])

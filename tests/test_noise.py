@@ -6,8 +6,7 @@ import pytest
 
 from trflm.corpus import LengthPrior, Sequence, Vocabulary, encode
 from trflm.ngram import train_ngram
-from trflm.noise import (AsyncNoiseProducer, NoiseDistribution,
-                         draw_noise_batch, noise_batch_stream, noise_logprob)
+from trflm.noise import NoiseDistribution, draw_noise_batch, noise_logprob
 
 
 @pytest.fixture
@@ -111,17 +110,6 @@ def test_joint_sampler_matches_density(tiny_vocab):
     assert stats.chi2.sf(stat, df=len(space) - 1) > 0.01
 
 
-def test_async_producer_equals_strict(nd_tiny):
-    sizes = [10, 10, 7]
-    strict = list(noise_batch_stream(nd_tiny, sizes, 4, np.random.default_rng(9)))
-    prefetched = list(AsyncNoiseProducer(
-        noise_batch_stream(nd_tiny, sizes, 4, np.random.default_rng(9)), max_buffered=2))
-    assert len(strict) == len(prefetched) == 3
-    for a, b in zip(strict, prefetched):
-        assert a.sequences == b.sequences
-        assert np.array_equal(a.log_pn, b.log_pn)
-
-
 def test_dump_batch_renders_symbols(nd_tiny, v2pay):
     from trflm.noise import dump_batch
     batch = draw_noise_batch(nd_tiny, 2, 1, np.random.default_rng(0))
@@ -131,13 +119,3 @@ def test_dump_batch_renders_symbols(nd_tiny, v2pay):
     assert len(lines) == 3
     assert all(ln.split("\t")[1].startswith("<s>") for ln in lines[1:])
 
-
-def test_async_producer_propagates_errors(nd_tiny):
-    def failing():
-        yield draw_noise_batch(nd_tiny, 2, 1, np.random.default_rng(0))
-        raise RuntimeError("producer exploded")
-
-    it = AsyncNoiseProducer(failing())
-    next(it)
-    with pytest.raises(RuntimeError, match="exploded"):
-        next(it)

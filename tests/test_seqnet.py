@@ -8,8 +8,8 @@ from trflm.gradcheck import numeric_grad_tensors, relative_errors
 from trflm.seqnet import (LstmLmConfig, PotentialConfig, init_lstm_lm_params,
                           init_potential_params, lstm_lm_logprob,
                           lstm_lm_logprob_batch, lstm_lm_loss_grads,
-                          lstm_lm_train_step, potential_backward,
-                          potential_forward)
+                          lstm_lm_train_step, potential_backward_batch,
+                          potential_phi_batch)
 from trflm.seqnet.layers import conv1d_backward, conv1d_forward, lstm_backward, lstm_forward
 
 
@@ -24,20 +24,26 @@ def seq(*ids):
     return Sequence(tuple(ids))
 
 
+def phi_of(params, x):
+    """phi of one sequence through the batch API with N = 1, and its cache."""
+    phi, cache = potential_phi_batch(params, np.array([x.ids]))
+    return float(phi[0]), cache
+
+
 def test_zero_attention_score_collapses_to_bias():
     params = small_params()
     params.tensors["att_beta"][:] = 0.0
     c = float(params.tensors["bias"])
-    phi, _ = potential_forward(params, seq(0, 3, 4, 1))
+    phi, _ = phi_of(params, seq(0, 3, 4, 1))
     assert phi == c
 
 
 def test_bias_additivity():
     params = small_params()
     x = seq(0, 3, 4, 3, 1)
-    phi0, _ = potential_forward(params, x)
+    phi0, _ = phi_of(params, x)
     params.tensors["bias"] += 2.5
-    phi1, _ = potential_forward(params, x)
+    phi1, _ = phi_of(params, x)
     assert phi1 == pytest.approx(phi0 + 2.5, abs=1e-12)
 
 
@@ -67,7 +73,6 @@ def test_every_intermediate_keeps_length():
     params = small_params()
     for l in range(1, 6):
         ids = np.array([[0] + [3] * (l - 1)])
-        from trflm.seqnet.potential import potential_phi_batch
         phi, cache = potential_phi_batch(params, ids)
         for ck, pre in cache["bank"] + cache["stack"]:
             assert pre.shape[1] == l
@@ -77,40 +82,29 @@ def test_every_intermediate_keeps_length():
 def test_forward_bit_deterministic():
     params = small_params(seed=3)
     x = seq(0, 3, 4, 1)
-    phis = {potential_forward(params, x)[0] for _ in range(5)}
+    phis = {phi_of(params, x)[0] for _ in range(5)}
     assert len(phis) == 1
 
 
 def test_bias_gradient_is_upstream_scale():
     params = small_params()
     x = seq(0, 4, 1)
-    _, cache = potential_forward(params, x)
-    grads = potential_backward(params, cache, upstream_scale=3.25)
+    _, cache = phi_of(params, x)
+    grads = potential_backward_batch(params, cache, np.array([3.25]))
     assert float(grads["bias"]) == 3.25
 
 
 def test_zero_upstream_gives_zero_gradient():
     params = small_params()
-    _, cache = potential_forward(params, seq(0, 4, 1))
-    grads = potential_backward(params, cache, 0.0)
+    _, cache = phi_of(params, seq(0, 4, 1))
+    grads = potential_backward_batch(params, cache, np.array([0.0]))
     assert all(np.all(g == 0.0) for g in grads.values())
-
-
-def test_cache_single_use_and_ownership():
-    params = small_params()
-    other = small_params(seed=9)
-    _, cache = potential_forward(params, seq(0, 3, 1))
-    with pytest.raises(ValueError, match="belong"):
-        potential_backward(other, cache, 1.0)
-    potential_backward(params, cache, 1.0)
-    with pytest.raises(ValueError, match="consumed"):
-        potential_backward(params, cache, 1.0)
 
 
 def test_dimension_errors():
     params = small_params()
     with pytest.raises(ValueError, match="vocabulary"):
-        potential_forward(params, seq(0, 99, 1))
+        phi_of(params, seq(0, 99, 1))
     with pytest.raises(ValueError):
         PotentialConfig(vocab_size=5, bank_width=3, bank_channels=4, stack_layers=0)
 

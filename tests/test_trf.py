@@ -65,7 +65,7 @@ def test_log_joint_matches_independent_reimplementation():
     for _ in range(50):
         l = int(rng.choice([2, 3, 4]))
         x = Sequence((vocab.bos, *rng.choice(vocab.payload_ids, size=l - 2).tolist(), vocab.eos))
-        expect = (math.log(pi.prob(l)) + ref.log_q(x) + pot.phi(x) - zeta[l - 1])
+        expect = (math.log(pi.prob(l)) + ref.log_q(x) + pot.phi_batch(np.array([x.ids]))[0] - zeta[l - 1])
         assert log_joint(model, x) == pytest.approx(expect, rel=1e-12)
 
 

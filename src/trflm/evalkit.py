@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ngram as ngram_mod
-from .corpus import Vocabulary, encode
+from .corpus import Vocabulary, encode, group_by_length, stack_ids
 from .seqnet import lstmlm
-from .trf import TrfModel, log_joint
+from .trf import TrfModel, log_joint_batch
 from .util import atomic_write_text, fmt
 
 
@@ -40,29 +40,50 @@ class NBestList:
 
 
 def read_nbest_file(path) -> list[NBestList]:
+    """Malformed lines raise ValueError naming the file and the line."""
     by_utt: dict[str, list[Hypothesis]] = {}
     order: list[str] = []
     with open(path, encoding="utf-8") as f:
-        for ln in f:
-            if not ln.strip():
+        for lineno, ln in enumerate(f, 1):
+            fields = ln.split()
+            if not fields:
                 continue
-            utt, rank, ac, *toks = ln.split()
+            where = f"{path}:{lineno}"
+            if len(fields) < 3:
+                raise ValueError(f"{where}: expected '<utt-id> <rank> <acoustic-score|NA> "
+                                 f"<token ...>', got {ln.strip()!r}")
+            utt, rank, ac, *toks = fields
+            try:
+                rank = int(rank)
+            except ValueError:
+                raise ValueError(f"{where}: rank must be an integer, got {rank!r}") from None
+            acoustic = None
+            if ac != "NA":
+                try:
+                    acoustic = float(ac)
+                except ValueError:
+                    acoustic = np.nan
+                if not np.isfinite(acoustic):
+                    raise ValueError(f"{where}: acoustic score must be a finite number "
+                                     f"or NA, got {ac!r}")
             if utt not in by_utt:
                 by_utt[utt] = []
                 order.append(utt)
-            acoustic = None if ac == "NA" else float(ac)
-            by_utt[utt].append(Hypothesis(" ".join(toks), acoustic, int(rank)))
+            by_utt[utt].append(Hypothesis(" ".join(toks), acoustic, rank))
     return [NBestList(u, tuple(sorted(by_utt[u], key=lambda h: h.rank)))
             for u in order]
 
 
 def read_refs_file(path) -> dict[str, str]:
+    """Malformed lines raise ValueError naming the file and the line."""
     refs = {}
     with open(path, encoding="utf-8") as f:
-        for ln in f:
+        for lineno, ln in enumerate(f, 1):
             if not ln.strip():
                 continue
             utt, *toks = ln.split()
+            if not toks:
+                raise ValueError(f"{path}:{lineno}: reference {utt!r} has no tokens")
             refs[utt] = " ".join(toks)
     return refs
 
@@ -81,33 +102,55 @@ def write_refs_file(refs: dict, path) -> None:
 
 
 # -- sentence scorers ----------------------------------------------------------
+#
+# A scorer maps texts to sentence log-probabilities in one batch:
+# logprob_batch(texts) -> (n,) float64 array.
 
-class NgramScorer:
+def _by_length(seqs, score) -> np.ndarray:
+    """score(ids) -> (N,) over each length bucket of seqs, in input order."""
+    out = np.empty(len(seqs))
+    for _, idx in group_by_length(seqs).items():
+        out[idx] = score(stack_ids([seqs[i] for i in idx]))
+    return out
+
+
+class _Scorer:
+    def logprob(self, text: str) -> float:
+        """One text through logprob_batch, for callers that score one text."""
+        return float(self.logprob_batch([text])[0])
+
+
+class NgramScorer(_Scorer):
     kind = "ngram"
 
     def __init__(self, model: ngram_mod.NGramModel, vocab: Vocabulary, level: str = "word"):
         self.model, self.vocab, self.level = model, vocab, level
 
-    def logprob(self, text: str) -> float:
-        return ngram_mod.logprob_sentence(self.model, encode(text, self.vocab, True, self.level))
+    def logprob_batch(self, texts) -> np.ndarray:
+        seqs = [encode(t, self.vocab, True, self.level) for t in texts]
+        return np.array([ngram_mod.logprob_sentence(self.model, x) for x in seqs],
+                        dtype=np.float64)
 
 
-class LstmScorer:
-    """Zero probability (-inf) for a sentence longer than the LSTM's max_len."""
+class LstmScorer(_Scorer):
+    """Zero probability (-inf) for a sentence longer than the LSTM's max_len;
+    such a sentence is never forwarded."""
 
     kind = "lstm"
 
     def __init__(self, params: lstmlm.LstmLmParams, vocab: Vocabulary, level: str = "word"):
         self.params, self.vocab, self.level = params, vocab, level
 
-    def logprob(self, text: str) -> float:
-        x = encode(text, self.vocab, True, self.level)
-        if len(x) > self.params.config.max_len:
-            return -np.inf
-        return lstmlm.lstm_lm_logprob(self.params, x)
+    def _score(self, ids: np.ndarray) -> np.ndarray:
+        if ids.shape[1] > self.params.config.max_len:
+            return np.full(ids.shape[0], -np.inf)
+        return lstmlm.lstm_lm_logprob_batch(self.params, ids)
+
+    def logprob_batch(self, texts) -> np.ndarray:
+        return _by_length([encode(t, self.vocab, True, self.level) for t in texts], self._score)
 
 
-class TrfScorer:
+class TrfScorer(_Scorer):
     """Scores with the stored zeta; no normalization oracle at inference."""
 
     kind = "trf"
@@ -115,8 +158,9 @@ class TrfScorer:
     def __init__(self, model: TrfModel, level: str = "word"):
         self.model, self.level = model, level
 
-    def logprob(self, text: str) -> float:
-        return log_joint(self.model, encode(text, self.model.vocab, True, self.level))
+    def logprob_batch(self, texts) -> np.ndarray:
+        return _by_length([encode(t, self.model.vocab, True, self.level) for t in texts],
+                          lambda ids: log_joint_batch(self.model, ids))
 
 
 @dataclass(frozen=True)
@@ -135,7 +179,7 @@ def score_hypothesis(scorer: CombinedScorer, hyp: Hypothesis | str) -> float:
     total = 0.0
     for member, weight in scorer.members:
         if weight != 0.0:   # skip so a -inf member score cannot poison weight 0
-            total += weight * member.logprob(text)
+            total += weight * member.logprob_batch([text])[0]
     if isinstance(hyp, Hypothesis) and hyp.acoustic is not None:
         total += hyp.acoustic
     return total
@@ -221,41 +265,77 @@ def _simplex_grid(k: int, step: float = 0.1):
 
 
 def precompute_member_scores(members, nbests) -> dict[str, np.ndarray]:
-    """(n_hyps, n_members) member log-prob matrix per utterance."""
-    return {nb.utt_id: np.array([[m.logprob(h.text) for m in members]
-                                 for h in nb.hypotheses])
-            for nb in nbests}
+    """(n_hyps, n_members) member log-prob matrix per utterance. Each member
+    scores the hypotheses of all utterances in one logprob_batch call."""
+    texts = [h.text for nb in nbests for h in nb.hypotheses]
+    mat = np.column_stack([np.asarray(m.logprob_batch(texts), dtype=np.float64)
+                           for m in members])
+    ends = np.cumsum([len(nb.hypotheses) for nb in nbests])
+    return {nb.utt_id: block for nb, block in zip(nbests, np.split(mat, ends[:-1]))}
 
 
-def _pick_best(nb: NBestList, totals: np.ndarray) -> str:
-    order = sorted(range(len(totals)), key=lambda i: (-totals[i], nb.hypotheses[i].rank))
-    return nb.hypotheses[order[0]].text
+@dataclass(frozen=True)
+class _Padded:
+    """N-best lists as (U, H) arrays padded to the longest list: member
+    scores (U, H, M), acoustic scores (0 for NA), ranks, and a mask of the
+    real hypotheses."""
+    scores: np.ndarray
+    acoustic: np.ndarray
+    rank: np.ndarray
+    real: np.ndarray
+
+
+def _pad(nbests, scores, n_members: int) -> _Padded:
+    u, h = len(nbests), max(len(nb.hypotheses) for nb in nbests)
+    padded = _Padded(np.zeros((u, h, n_members)), np.zeros((u, h)),
+                     np.zeros((u, h), dtype=np.int64), np.zeros((u, h), dtype=bool))
+    for i, nb in enumerate(nbests):
+        n = len(nb.hypotheses)
+        padded.scores[i, :n] = scores[nb.utt_id]
+        padded.acoustic[i, :n] = [0.0 if x.acoustic is None else x.acoustic
+                                  for x in nb.hypotheses]
+        padded.rank[i, :n] = [x.rank for x in nb.hypotheses]
+        padded.real[i, :n] = True
+    return padded
+
+
+def _pick(padded: _Padded, w: np.ndarray) -> np.ndarray:
+    """Index of each utterance's best hypothesis under member weights w: the
+    highest combined score, ties to the lowest rank; padding never wins."""
+    totals = np.zeros(padded.real.shape)
+    for m in np.flatnonzero(w):   # skip weight 0 so a -inf member score cannot poison it
+        totals += w[m] * padded.scores[:, :, m]
+    totals += padded.acoustic
+    top = np.where(padded.real, totals, -np.inf).max(axis=1, keepdims=True)
+    tied = padded.real & (totals == top)
+    return np.where(tied, padded.rank, np.iinfo(np.int64).max).argmin(axis=1)
 
 
 def rescore_with_weights(members, weights, nbests, scores=None) -> dict[str, str]:
     """Best hypothesis per utterance under the given member weights."""
     if scores is None:
         scores = precompute_member_scores(members, nbests)
-    w = np.asarray(weights, dtype=np.float64)
-    best = {}
-    for nb in nbests:
-        mat = scores[nb.utt_id]
-        finite = np.where(w != 0.0, mat, 0.0)   # weight-0 members cannot poison
-        totals = finite @ w
-        totals = totals + np.array([0.0 if h.acoustic is None else h.acoustic
-                                    for h in nb.hypotheses])
-        best[nb.utt_id] = _pick_best(nb, totals)
-    return best
+    picks = _pick(_pad(nbests, scores, len(members)), np.asarray(weights, dtype=np.float64))
+    return {nb.utt_id: nb.hypotheses[i].text for nb, i in zip(nbests, picks)}
 
 
 def grid_search_weights(members, nbests, refs, step: float = 0.1, scores=None):
-    """Simplex grid search minimizing corpus WER; first minimizer wins."""
+    """Simplex grid search minimizing corpus WER; first minimizer wins. Each
+    hypothesis's word errors are computed once."""
+    if {nb.utt_id for nb in nbests} != set(refs):
+        raise ValueError("n-best lists and references cover different utterances")
     if scores is None:
         scores = precompute_member_scores(members, nbests)
+    padded = _pad(nbests, scores, len(members))
+    errors = np.zeros(padded.real.shape, dtype=np.int64)
+    for i, nb in enumerate(nbests):
+        errors[i, :len(nb.hypotheses)] = [wer(refs[nb.utt_id], h.text).errors
+                                          for h in nb.hypotheses]
+    ref_tokens = sum(len(r.split()) for r in refs.values())
+    rows = np.arange(len(nbests))
     best_w, best_rate = None, np.inf
     for w in _simplex_grid(len(members), step):
-        picked = rescore_with_weights(members, w, nbests, scores)
-        rate = corpus_wer(refs, picked).rate
+        rate = int(errors[rows, _pick(padded, np.asarray(w))].sum()) / ref_tokens
         if rate < best_rate - 1e-15:
             best_w, best_rate = w, rate
     return best_w, best_rate

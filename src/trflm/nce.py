@@ -75,15 +75,18 @@ def classification_weights(p0, data_count: int):
 
 
 def _score(model: TrfModel, nd: NoiseDistribution, data_batch,
-           noise_batch: NoiseBatch, forward):
+           noise_batch: NoiseBatch, forward, data_log_pn=None):
     """Log-odds log p - log nu - log p_n of the data rows then the noise rows,
     and (length, row indices, cache) per length bucket. Data and noise rows of
-    one length share one forward(ids) -> (phi, cache) call."""
+    one length share one forward(ids) -> (phi, cache) call. data_log_pn, when
+    given, is log p_n of the data rows, computed once by the caller."""
     nu = noise_batch.nu
     if len(noise_batch.sequences) != nu * len(data_batch):
         raise ValueError("noise batch size must be nu * data batch size")
+    if data_log_pn is None:
+        data_log_pn = [noise_logprob(nd, s) for s in data_batch]
     seqs = list(data_batch) + list(noise_batch.sequences)
-    log_pn = np.concatenate([[noise_logprob(nd, s) for s in data_batch], noise_batch.log_pn])
+    log_pn = np.concatenate([data_log_pn, noise_batch.log_pn])
     log_p = np.empty(len(seqs))
     buckets = []
     for l, idx in group_by_length(seqs).items():
@@ -118,12 +121,13 @@ def nce_objective(model: TrfModel, nd: NoiseDistribution, data_batch,
 
 
 def nce_gradients(model: TrfModel, nd: NoiseDistribution, data_batch,
-                  noise_batch: NoiseBatch):
+                  noise_batch: NoiseBatch, data_log_pn=None):
     """Ascent gradients of J for theta and zeta, plus step statistics. Each
-    length bucket is forwarded once; its cache serves the backward pass."""
+    length bucket is forwarded once; its cache serves the backward pass.
+    data_log_pn optionally holds log p_n of the data rows."""
     params = model.potential.params
     delta, buckets = _score(model, nd, data_batch, noise_batch,
-                            lambda ids: potential_phi_batch(params, ids))
+                            lambda ids: potential_phi_batch(params, ids), data_log_pn)
     n = len(data_batch)
     p0 = np.exp(log_sigmoid(delta))
     w_d, w_n = classification_weights(p0, n)
@@ -225,6 +229,7 @@ def train(model: TrfModel, nd: NoiseDistribution, dataset, config: NceConfig,
     for l in model.supported_lengths:
         supported[l - 1] = True
 
+    data_log_pn = np.array([noise_logprob(nd, x) for x in dataset])   # once: data are fixed
     shuffle_rng = derive_rng(config.seed, "shuffle")
     noise_rng = derive_rng(config.seed, "noise")
     sizes = _batch_sizes(len(dataset), config.batch_size)
@@ -244,10 +249,12 @@ def train(model: TrfModel, nd: NoiseDistribution, dataset, config: NceConfig,
         order = shuffle_rng.permutation(len(dataset))
         pos = 0
         for bsz in sizes:
-            data_batch = [dataset[i] for i in order[pos:pos + bsz]]
+            rows = order[pos:pos + bsz]
+            data_batch = [dataset[i] for i in rows]
             pos += bsz
             noise_batch = draw_noise_batch(nd, bsz, config.nu, noise_rng)
-            g_theta, g_zeta, stats = nce_gradients(model, nd, data_batch, noise_batch)
+            g_theta, g_zeta, stats = nce_gradients(model, nd, data_batch, noise_batch,
+                                                   data_log_pn[rows])
             for name, g in g_theta.items():
                 if not np.all(np.isfinite(g)):
                     raise RuntimeError(f"non-finite gradient in {name!r} at step {step}")

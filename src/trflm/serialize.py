@@ -88,29 +88,51 @@ def save_trf_bundle(model: TrfModel, path, potential_file: str,
 
 
 def load_trf_bundle(path) -> TrfModel:
+    """Loads and cross-checks a bundle; a malformed one raises ValueError
+    naming it."""
     from .corpus import load_vocabulary
     with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    if doc.get("format") != "trflm-bundle" or doc.get("version") != FORMAT_VERSION:
+        try:
+            doc = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"model bundle {path} is not JSON: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != "trflm-bundle" \
+            or doc.get("version") != FORMAT_VERSION:
         raise ValueError(f"not a readable model bundle: {path}")
+    missing = [k for k in ("potential_file", "vocab_file", "zeta", "pi", "reference")
+               if k not in doc]
+    if missing:
+        raise ValueError(f"model bundle {path} lacks {', '.join(map(repr, missing))}")
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(p):
         return p if os.path.isabs(p) else os.path.join(base, p)
 
     vocab = load_vocabulary(resolve(doc["vocab_file"]))
+
+    def check_vocab_size(what, size):
+        if size != vocab.size:
+            raise ValueError(f"model bundle {path}: the {what} was built for a {size}-symbol "
+                             f"vocabulary, but {doc['vocab_file']} has {vocab.size}")
+
     potential = NeuralPotential(load_potential(resolve(doc["potential_file"])))
-    kind = doc["reference"]["kind"]
+    check_vocab_size("potential", potential.config.vocab_size)
+    kind = doc["reference"].get("kind")
     ref_file = doc["reference"].get("file")
     if kind == "uniform":
         reference = UniformReference(len(vocab.payload_ids))
     elif kind == "ngram":
         reference = NgramReference(load_ngram(resolve(ref_file)))
+        check_vocab_size("n-gram reference", reference.model.vocab_size)
     elif kind == "lstm":
         reference = LstmReference(load_lstm_lm(resolve(ref_file)))
+        check_vocab_size("LSTM reference", reference.params.config.vocab_size)
     else:
-        raise ValueError(f"unknown reference kind: {kind!r}")
-    model = TrfModel(potential, np.array(doc["zeta"]), LengthPrior(np.array(doc["pi"])),
-                     reference, vocab)
+        raise ValueError(f"model bundle {path}: unknown reference kind {kind!r}")
+    try:
+        model = TrfModel(potential, np.array(doc["zeta"]), LengthPrior(np.array(doc["pi"])),
+                         reference, vocab)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"model bundle {path}: {exc}") from None
     model.level = doc.get("level", "word")
     return model

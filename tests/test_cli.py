@@ -286,15 +286,17 @@ def test_rescore_scores_each_hypothesis_once_per_member(micro, capsys, monkeypat
     from trflm import evalkit
     train_rescore_members("grid")
     write_micro_nbest(n_utts=6, n_hyps=4)
-    calls = Counter()
+    calls, rows = Counter(), Counter()
     for scorer in (evalkit.NgramScorer, evalkit.LstmScorer, evalkit.TrfScorer):
-        def counted(self, text, real=scorer.logprob):
+        def counted(self, texts, real=scorer.logprob_batch):
             calls[self.kind] += 1
-            return real(self, text)
-        monkeypatch.setattr(scorer, "logprob", counted)
+            rows[self.kind] += len(texts)
+            return real(self, texts)
+        monkeypatch.setattr(scorer, "logprob_batch", counted)
     assert main(["rescore", "-c", "rescore.ini", "--nbest", "nbest.txt",
                  "--refs", "refs.txt"]) == 0
-    assert calls == {"ngram": 24, "lstm": 24, "trf": 24}
+    assert calls == {"ngram": 1, "lstm": 1, "trf": 1}
+    assert rows == {"ngram": 24, "lstm": 24, "trf": 24}
 
 
 def test_rescore_overlong_hypothesis_is_never_picked(micro, capsys):
@@ -371,3 +373,92 @@ def test_serialize_roundtrip_bitexact(micro):
         assert np.array_equal(v, again.potential.params.tensors[k])
     ids = np.array([(model.vocab.bos, model.vocab.payload_ids[0], model.vocab.eos)])
     assert model.potential.phi_batch(ids)[0] == again.potential.phi_batch(ids)[0]
+
+
+NGRAM_RESCORE_INI = ("[rescore]\nvocab = micro/out/vocab.txt\nlevel = char\n"
+                     "members = ngram:micro/out/ngram.json\n[output]\ndir = micro/out\n")
+
+
+@pytest.mark.parametrize("which,line,message", [
+    ("nbest", "uttA 0", "expected '<utt-id> <rank>"),
+    ("nbest", "uttA first -1.0 a t", "rank must be an integer, got 'first'"),
+    ("nbest", "uttA 0 loud a t", "acoustic score must be a finite number or NA, got 'loud'"),
+    ("refs", "uttA", "reference 'uttA' has no tokens"),
+])
+def test_rescore_malformed_line_names_file_and_line(micro, capsys, which, line, message):
+    main(["train-ngram", "-c", "micro.ini"])
+    files = {"nbest": ["uttA 0 NA a t", "uttA 1 -2.0 a n"], "refs": ["uttA a t"]}
+    files[which].append(line)
+    for name, lines in files.items():
+        with open(f"{name}.txt", "w") as f:
+            f.write("\n".join(lines) + "\n")
+    with open("rescore.ini", "w") as f:
+        f.write(NGRAM_RESCORE_INI)
+    capsys.readouterr()
+    assert main(["rescore", "-c", "rescore.ini", "--nbest", "nbest.txt",
+                 "--refs", "refs.txt"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {which}.txt:{len(files[which])}: {message}")
+    assert err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def trained_micro(tmp_path_factory):
+    """A directory holding the micro corpus and the TRF trained on it."""
+    d = tmp_path_factory.mktemp("trained")
+    cwd = os.getcwd()
+    os.chdir(d)
+    try:
+        os.makedirs("micro")
+        with open("micro/train.txt", "w") as f:
+            f.write("an\nat\non\nno\nton\nnot\ntan\nant\na\nto\noat\nnan\n")
+        with open("micro.ini", "w") as f:
+            f.write(MICRO_CONFIG.replace("valid = micro/valid.txt\n", ""))
+        assert main(["train-trf", "-c", "micro.ini"]) == 0
+    finally:
+        os.chdir(cwd)
+    return d / "micro" / "out"
+
+
+@pytest.mark.parametrize("command", ["rescore", "enumerate-z"])
+@pytest.mark.parametrize("fault", ["pi", "zeta", "vocab_file", "potential_file", "vocab_size",
+                                   "not_json"])
+def test_malformed_bundle_is_clean_error(trained_micro, tmp_path, monkeypatch, capsys,
+                                         command, fault):
+    monkeypatch.chdir(tmp_path)
+    with open(trained_micro / "trf.json") as f:
+        doc = json.load(f)
+    doc["vocab_file"] = str(trained_micro / "vocab.txt")
+    doc["potential_file"] = str(trained_micro / "potential.json")
+    if fault == "vocab_size":
+        # one symbol more than the potential was trained on
+        with open(trained_micro / "vocab.txt") as f:
+            symbols = f.read()
+        with open("vocab.txt", "w") as f:
+            f.write(symbols + "q\n")
+        doc["vocab_file"] = "vocab.txt"
+    elif fault != "not_json":
+        del doc[fault]
+    with open("bad.json", "w") as f:
+        json.dump(doc, f)
+        if fault == "not_json":
+            f.write(",")
+    if command == "rescore":
+        with open("rescore.ini", "w") as f:
+            f.write(f"[rescore]\nvocab = {trained_micro / 'vocab.txt'}\nlevel = char\n"
+                    "members = trf:bad.json\n[output]\ndir = out\n")
+        with open("nbest.txt", "w") as f:
+            f.write("uttA 0 NA a t\n")
+        with open("refs.txt", "w") as f:
+            f.write("uttA a t\n")
+        argv = ["rescore", "-c", "rescore.ini", "--nbest", "nbest.txt", "--refs", "refs.txt"]
+    else:
+        argv = ["enumerate-z", "--model", "bad.json"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: model bundle ") and "bad.json" in captured.err
+    assert captured.err.count("\n") == 1
+    expect = {"vocab_size": "vocabulary", "not_json": "not JSON"}.get(fault, repr(fault))
+    assert expect in captured.err
+    assert captured.out == ""

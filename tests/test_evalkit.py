@@ -87,15 +87,25 @@ class ConstScorer:
     def __init__(self, value):
         self.value = value
 
-    def logprob(self, text):
-        return self.value
+    def logprob_batch(self, texts):
+        return np.full(len(texts), float(self.value))
 
 
 class LengthScorer:
     kind = "len"
 
-    def logprob(self, text):
-        return -float(len(text.split()))
+    def logprob_batch(self, texts):
+        return np.array([-float(len(t.split())) for t in texts])
+
+
+class TableScorer:
+    kind = "table"
+
+    def __init__(self, table):
+        self.table = table
+
+    def logprob_batch(self, texts):
+        return np.array([self.table[t] for t in texts])
 
 
 def make_nbest(texts, acoustics=None):
@@ -229,3 +239,110 @@ def test_benchmark_generator_shapes(tiny_vocab):
         assert refs[nb.utt_id] in texts      # truth is always in the list
         for h in nb.hypotheses:
             assert 1 <= len(h.text.replace(" ", "")) <= 3
+
+
+def test_scorer_batches_match_per_row_scoring():
+    from trflm.seqnet import (LstmLmConfig, NeuralPotential, PotentialConfig,
+                              init_lstm_lm_params, init_potential_params, lstm_lm_logprob)
+    from trflm.trf import TrfModel, UniformReference, log_joint
+    vocab = build_vocabulary(["ab", "ba", "abc", "ca"], level="char")
+    data = [encode(w, vocab, level="char") for w in ("ab", "ba", "abc", "ca")]
+    ngram = train_ngram(data, 2, vocab)
+    lstm = init_lstm_lm_params(LstmLmConfig(vocab.size, 4, 4, 1, max_len=5), 0)
+    potential = NeuralPotential(init_potential_params(PotentialConfig(vocab.size, 4, 2, 2, 1, 4),
+                                                      np.random.default_rng(1)))
+    # zero prior mass at length 2: the empty hypothesis is impossible under the TRF
+    prior = LengthPrior(np.array([0.0, 0.0, 0.3, 0.4, 0.3]))
+    trf = TrfModel(potential, np.zeros(5), prior, UniformReference(len(vocab.payload_ids)), vocab)
+    # mixed lengths, an empty and an over-long (length 6) hypothesis, an unknown symbol
+    texts = ["ab", "a", "", "abca", "cab", "b", "ba", "c", "abc", "xa", "bb"]
+
+    def encoded(t):
+        return encode(t, vocab, level="char")
+
+    per_row = {
+        "ngram": [logprob_sentence(ngram, encoded(t)) for t in texts],
+        "lstm": [-np.inf if len(encoded(t)) > 5 else lstm_lm_logprob(lstm, encoded(t))
+                 for t in texts],
+        "trf": [log_joint(trf, encoded(t)) for t in texts],
+    }
+    scorers = {"ngram": NgramScorer(ngram, vocab, "char"),
+               "lstm": evalkit.LstmScorer(lstm, vocab, "char"),
+               "trf": evalkit.TrfScorer(trf, "char")}
+    for kind, scorer in scorers.items():
+        batch = scorer.logprob_batch(texts)
+        expect = np.array(per_row[kind])
+        assert batch.dtype == np.float64 and batch.shape == (len(texts),)
+        assert np.array_equal(np.isneginf(batch), np.isneginf(expect)), kind
+        assert np.all(np.isfinite(batch) | np.isneginf(batch)), kind
+        finite = np.isfinite(expect)
+        assert np.allclose(batch[finite], expect[finite], rtol=0, atol=1e-12), kind
+        singles = np.array([scorer.logprob_batch([t])[0] for t in texts])
+        assert np.array_equal(np.isneginf(singles), np.isneginf(expect)), kind
+        assert np.allclose(singles[finite], batch[finite], rtol=0, atol=1e-12), kind
+    assert np.isneginf(per_row["lstm"][3]) and np.isneginf(per_row["trf"][3])
+    assert np.isneginf(per_row["trf"][2]) and np.isfinite(per_row["lstm"][2])
+
+
+def random_nbests(rng, n_utts=15, vocab="abc"):
+    """Random n-best lists of unequal lengths whose hypotheses are stored out
+    of rank order, with references over the same symbols."""
+    def text():
+        return " ".join(rng.choice(list(vocab), size=rng.integers(1, 4)))
+
+    nbests, refs = [], {}
+    for u in range(n_utts):
+        n = int(rng.integers(1, 7))
+        ranks = rng.permutation(n)
+        hyps = tuple(Hypothesis(text(), None if rng.random() < 0.3
+                                else float(rng.choice([-1.0, -0.5, 0.0])), int(r))
+                     for r in ranks)
+        nbests.append(NBestList(f"u{u}", hyps))
+        refs[f"u{u}"] = text()
+    return nbests, refs
+
+
+def brute_force_pick(members, weights, nbests):
+    """Each utterance's best hypothesis by sorting on (-combined score, rank)."""
+    best = {}
+    for nb in nbests:
+        def key(h):
+            total = 0.0
+            for m, w in zip(members, weights):
+                if w != 0.0:
+                    total += w * m.logprob_batch([h.text])[0]
+            if h.acoustic is not None:
+                total += h.acoustic
+            return (-total, h.rank)
+        best[nb.utt_id] = sorted(nb.hypotheses, key=key)[0].text
+    return best
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_grid_search_matches_brute_force_loop(seed):
+    rng = np.random.default_rng(seed)
+    nbests, refs = random_nbests(rng)
+    texts = {h.text for nb in nbests for h in nb.hypotheses}
+    # few distinct integer scores give exact ties; the last member is -inf on some texts
+    members = [TableScorer({t: float(rng.integers(-3, 0)) for t in texts}),
+               TableScorer({t: float(rng.integers(-2, 1)) for t in texts}),
+               TableScorer({t: -np.inf if rng.random() < 0.3 else -1.0 for t in texts})]
+    brute_w, brute_rate = None, np.inf
+    for w in evalkit._simplex_grid(3, 0.1):
+        picked = rescore_with_weights(members, w, nbests)
+        assert picked == brute_force_pick(members, w, nbests)
+        rate = corpus_wer(refs, picked).rate
+        if rate < brute_rate - 1e-15:
+            brute_w, brute_rate = w, rate
+    assert grid_search_weights(members, nbests, refs) == (brute_w, brute_rate)
+
+
+def test_pick_ties_go_to_lowest_rank_not_storage_order():
+    nb = NBestList("u", (Hypothesis("b", None, 2), Hypothesis("c", None, 0),
+                         Hypothesis("a", None, 1)))
+    members = [ConstScorer(-1.0)]
+    assert rescore_with_weights(members, (1.0,), [nb]) == {"u": "c"}
+    # every hypothesis impossible: still the lowest rank, never padding
+    short = NBestList("v", (Hypothesis("a", None, 3), Hypothesis("b", None, 1)))
+    members = [ConstScorer(-np.inf)]
+    assert rescore_with_weights(members, (1.0,), [nb, short]) == {"u": "c", "v": "b"}

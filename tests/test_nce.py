@@ -276,3 +276,19 @@ def test_nonfinite_gradient_aborts_with_diagnostic(setting):
     cfg = NceConfig(nu=1, batch_size=2, epochs=1, zeta_init="zeros")
     with pytest.raises(RuntimeError, match="step 0"):
         train(model, nd, [s for s in data if len(s) > 2], cfg)
+
+
+def test_training_passes_each_batch_its_data_noise_densities(setting, monkeypatch):
+    # train computes log p_n of the data once and hands each step its rows
+    from trflm import nce
+    real = nce.nce_gradients
+    seen = []
+
+    def checked(model, nd, data_batch, noise_batch, data_log_pn=None):
+        seen.append(len(data_batch))
+        assert list(data_log_pn) == [noise_logprob(nd, s) for s in data_batch]
+        return real(model, nd, data_batch, noise_batch, data_log_pn)
+
+    monkeypatch.setattr(nce, "nce_gradients", checked)
+    run_training(setting, epochs=2)
+    assert sum(seen) == 2 * len(setting[3])   # two epochs over every data row

@@ -8,6 +8,7 @@ directory.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import shutil
 import sys
@@ -306,7 +307,7 @@ def cmd_train_trf(args) -> int:
     reference, ref_file = _reference(cfg, vocab)
     model = TrfModel(NeuralPotential(params),
                      zeta_init_vector(cfg.get("model", "zeta_init"), max_len, vocab.size),
-                     prior, reference, vocab)
+                     prior, reference, vocab, level)
 
     nce_cfg = NceConfig(
         nu=cfg.get("noise", "nu"), batch_size=cfg.get("training", "batch_size"),
@@ -337,7 +338,7 @@ def cmd_train_trf(args) -> int:
         bundle_ref = "reference" + os.path.splitext(ref_file)[1]
         shutil.copyfile(ref_file, os.path.join(out, bundle_ref))
     serialize.save_trf_bundle(model, os.path.join(out, "trf.json"),
-                              "potential.json", "vocab.txt", bundle_ref, level=level)
+                              "potential.json", "vocab.txt", bundle_ref)
     last = result.epochs[-1]
     gap = "" if last.zeta_gap_sq is None else f" zeta_gap_sq={fmt(last.zeta_gap_sq)}"
     print(f"train-trf: epochs={len(result.epochs)} steps={result.steps} "
@@ -347,9 +348,8 @@ def cmd_train_trf(args) -> int:
 
 def cmd_eval(args) -> int:
     model = serialize.load_trf_bundle(args.model)
-    level = getattr(model, "level", "word")
     lines = corpus_mod.read_corpus(args.data)
-    data = corpus_mod.encode_corpus(lines, model.vocab, level, model.max_len)
+    data = corpus_mod.encode_corpus(lines, model.vocab, model.level, model.max_len)
     source = "exact" if args.exact_z else "stored"
     try:
         value = trf_nll(model, data, source, args.budget)
@@ -390,11 +390,28 @@ def _build_members(cfg: ExperimentConfig, vocab, level):
             _check_vocab_size(f"member {path}", params.config.vocab_size, vocab)
             members.append(evalkit.LstmScorer(params, vocab, level))
         elif kind == "trf":
-            members.append(evalkit.TrfScorer(serialize.load_trf_bundle(path), level))
+            model = serialize.load_trf_bundle(path)
+            if model.level != level:
+                raise ConfigError(f"member {path} tokenizes at level {model.level!r}, "
+                                  f"but [rescore] level is {level!r}")
+            members.append(evalkit.TrfScorer(model, level))
         else:
             raise ConfigError(f"unknown member kind {kind!r} in [rescore] members")
         names.append(kind)
     return members, names
+
+
+def _explicit_weights(text: str, n_members: int) -> tuple[float, ...]:
+    """The weights of key 'weights' in [rescore]: one finite number per member."""
+    problem = (f"key 'weights' in [rescore] must list one finite number per member "
+               f"({n_members}), got {text!r}")
+    try:
+        weights = tuple(float(x) for x in text.split())
+    except ValueError:
+        raise ConfigError(problem) from None
+    if len(weights) != n_members or not all(map(math.isfinite, weights)):
+        raise ConfigError(problem)
+    return weights
 
 
 def cmd_rescore(args) -> int:
@@ -403,6 +420,8 @@ def cmd_rescore(args) -> int:
     vocab = corpus_mod.load_vocabulary(cfg.path("rescore", "vocab"))
     level = cfg.get("rescore", "level")
     members, names = _build_members(cfg, vocab, level)
+    weights_cfg = cfg.get("rescore", "weights")
+    weights = None if weights_cfg == "grid" else _explicit_weights(weights_cfg, len(members))
     nbests = evalkit.read_nbest_file(args.nbest)
     refs = evalkit.read_refs_file(args.refs)
     nbest_ids = {nb.utt_id for nb in nbests}
@@ -420,13 +439,8 @@ def cmd_rescore(args) -> int:
         r = evalkit.corpus_wer(refs, best)
         rows.append(f"{name},{'|'.join(map(fmt, w))},{r.substitutions},{r.insertions},"
                     f"{r.deletions},{r.ref_tokens},{fmt(r.rate)}")
-    weights_cfg = cfg.get("rescore", "weights")
-    if weights_cfg == "grid":
+    if weights is None:
         weights, _ = evalkit.grid_search_weights(members, nbests, refs, scores=scores)
-    else:
-        weights = tuple(float(x) for x in weights_cfg.split())
-        if len(weights) != len(members):
-            raise ConfigError("key 'weights' in [rescore] must list one weight per member")
     best = evalkit.rescore_with_weights(members, weights, nbests, scores)
     r = evalkit.corpus_wer(refs, best)
     rows.append(f"combined,{'|'.join(map(fmt, weights))},{r.substitutions},{r.insertions},"

@@ -84,6 +84,8 @@ def read_refs_file(path) -> dict[str, str]:
             utt, *toks = ln.split()
             if not toks:
                 raise ValueError(f"{path}:{lineno}: reference {utt!r} has no tokens")
+            if utt in refs:
+                raise ValueError(f"{path}:{lineno}: reference {utt!r} is repeated")
             refs[utt] = " ".join(toks)
     return refs
 
@@ -161,34 +163,6 @@ class TrfScorer(_Scorer):
     def logprob_batch(self, texts) -> np.ndarray:
         return _by_length([encode(t, self.model.vocab, True, self.level) for t in texts],
                           lambda ids: log_joint_batch(self.model, ids))
-
-
-@dataclass(frozen=True)
-class CombinedScorer:
-    members: tuple    # of (scorer, weight) pairs
-
-    def __post_init__(self):
-        if not self.members:
-            raise ValueError("a combined scorer needs at least one member")
-        if not all(np.isfinite(w) for _, w in self.members):
-            raise ValueError("member weights must be finite")
-
-
-def score_hypothesis(scorer: CombinedScorer, hyp: Hypothesis | str) -> float:
-    text = hyp.text if isinstance(hyp, Hypothesis) else hyp
-    total = 0.0
-    for member, weight in scorer.members:
-        if weight != 0.0:   # skip so a -inf member score cannot poison weight 0
-            total += weight * member.logprob_batch([text])[0]
-    if isinstance(hyp, Hypothesis) and hyp.acoustic is not None:
-        total += hyp.acoustic
-    return total
-
-
-def rescore(scorer: CombinedScorer, nbest: NBestList) -> list[Hypothesis]:
-    """Hypotheses sorted by descending combined score; ties keep original rank."""
-    scored = [(score_hypothesis(scorer, h), h) for h in nbest.hypotheses]
-    return [h for _, h in sorted(scored, key=lambda sh: (-sh[0], sh[1].rank))]
 
 
 # -- word error rate -----------------------------------------------------------
@@ -371,7 +345,7 @@ def make_nbest_benchmark(source: ngram_mod.NGramModel, vocab: Vocabulary,
     for u in range(n_utts):
         while True:
             l = int(rng.choice(length_prior.m, p=length_prior.probs)) + 1
-            seq = sample_fixed_length(source, l, rng)
+            seq, _ = sample_fixed_length(source, l, rng)
             if l > 2 and vocab.unk not in seq.ids:   # nonempty, renderable reference
                 break
         ref_ids = list(seq.ids[1:-1])

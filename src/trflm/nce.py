@@ -25,11 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Sequence, group_by_length, stack_ids
+from .corpus import group_by_length, stack_ids
 from .noise import NoiseBatch, NoiseDistribution, draw_noise_batch, noise_logprob
 from .seqnet.potential import potential_backward_batch, potential_phi_batch
-from .trf import TrfModel, exact_zeta, log_joint, log_joint_batch, \
-    nll as trf_nll, zeta_init_vector
+from .trf import TrfModel, exact_zeta, log_joint_batch, nll as trf_nll, zeta_init_vector
 from .util import derive_rng, fmt, log_sigmoid
 
 
@@ -100,17 +99,6 @@ def _score(model: TrfModel, nd: NoiseDistribution, data_batch,
 def _objective(delta: np.ndarray, data_count: int, nu: int) -> float:
     return float(np.mean(log_sigmoid(delta[:data_count]))
                  + nu * np.mean(log_sigmoid(-delta[data_count:])))
-
-
-def posterior_data(model: TrfModel, nd: NoiseDistribution, x: Sequence,
-                   nu: int) -> float:
-    """P(C=0 | l, x^l), evaluated in the log domain."""
-    log_p = log_joint(model, x)
-    log_pn = noise_logprob(nd, x)
-    if log_p == -np.inf and log_pn == -np.inf:
-        raise ValueError("sequence impossible under both model and noise")
-    delta = log_p - np.log(nu) - log_pn
-    return float(np.exp(log_sigmoid(delta)))
 
 
 def nce_objective(model: TrfModel, nd: NoiseDistribution, data_batch,

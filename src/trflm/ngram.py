@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Sequence, Vocabulary
-from .util import atomic_write_text
+from .util import atomic_write_text, read_json
 
 FORMAT_VERSION = 1
 
@@ -34,11 +34,6 @@ class NGramModel:
     tables: dict[int, dict[tuple, Counter]]
     discounts: dict[int, float]
     _dist_cache: dict[tuple, np.ndarray] = field(default_factory=dict, repr=False)
-
-    @property
-    def payload_ids(self) -> np.ndarray:
-        return np.array([i for i in range(self.vocab_size) if i not in (self.bos, self.eos)],
-                        dtype=np.int64)
 
     def conditional_dist(self, context) -> np.ndarray:
         """P(. | context) over all vocab_size next symbols; sums to 1 exactly."""
@@ -159,17 +154,23 @@ def logprob_fixed_length(model: NGramModel, x: Sequence) -> float:
     return lp
 
 
-def sample_fixed_length(model: NGramModel, l: int, rng: np.random.Generator) -> Sequence:
+def sample_fixed_length(model: NGramModel, l: int,
+                        rng: np.random.Generator) -> tuple[Sequence, float]:
     """Draw a sequence of exact length l (boundaries included) from the
-    fixed-length restriction; distribution matches logprob_fixed_length."""
+    fixed-length restriction, with its log-probability. The log-probability
+    is summed from the conditionals drawn from, in the order
+    logprob_fixed_length sums them, so the two agree bit for bit."""
     if l < 2:
         raise ValueError(f"minimum sequence length is 2 ([begin, end]), got {l}")
     ids = [model.bos]
+    lp = 0.0
     for _ in range(l - 2):
         dist = payload_conditional_dist(model, _padded_context(ids, model.order, model.bos))
-        ids.append(int(rng.choice(model.vocab_size, p=dist)))
+        w = int(rng.choice(model.vocab_size, p=dist))
+        ids.append(w)
+        lp += float(np.log(dist[w]))
     ids.append(model.eos)
-    return Sequence(tuple(ids))
+    return Sequence(tuple(ids)), lp
 
 
 def logprob_sentence(model: NGramModel, x: Sequence) -> float:
@@ -226,8 +227,7 @@ def save_ngram(model: NGramModel, path) -> None:
 
 
 def load_ngram(path) -> NGramModel:
-    with open(path, encoding="utf-8") as f:
-        return from_json_dict(json.load(f))
+    return from_json_dict(read_json(path, "n-gram model file"))
 
 
 # -- ARPA export --------------------------------------------------------------

@@ -48,16 +48,7 @@ def draw_noise_batch(nd: NoiseDistribution, data_batch_size: int, nu: int,
         raise ValueError(f"nu must be >= 1, got {nu}")
     n = data_batch_size * nu
     lengths = rng.choice(nd.length_prior.m, size=n, p=nd.length_prior.probs) + 1
-    seqs = tuple(sample_fixed_length(nd.base, int(l), rng) for l in lengths)
-    log_pn = np.array([noise_logprob(nd, s) for s in seqs])
-    return NoiseBatch(seqs, log_pn, nu)
-
-
-def dump_batch(batch: NoiseBatch, vocab) -> str:
-    """Debug rendering: one `log_pn<TAB>symbols` line per noise sequence."""
-    lines = [f"# nu={batch.nu} size={len(batch.sequences)}"]
-    for s, lp in zip(batch.sequences, batch.log_pn):
-        toks = " ".join(vocab.symbol_of(i) for i in s.ids)
-        lines.append(f"{lp!r}\t{toks}")
-    return "\n".join(lines) + "\n"
+    draws = [sample_fixed_length(nd.base, int(l), rng) for l in lengths]
+    log_pn = np.array([nd.length_prior.log_prob(len(s)) + lp for s, lp in draws])
+    return NoiseBatch(tuple(s for s, _ in draws), log_pn, nu)
 

@@ -8,13 +8,11 @@ from .potential import (PotentialConfig, PotentialParams, NeuralPotential,
                         init_potential_params, potential_phi_batch,
                         potential_backward_batch)
 from .lstmlm import (LstmLmConfig, LstmLmParams, init_lstm_lm_params,
-                     lstm_lm_logprob, lstm_lm_logprob_batch,
-                     lstm_lm_loss_grads, lstm_lm_train_step)
+                     lstm_lm_logprob_batch, lstm_lm_loss_grads, lstm_lm_train_step)
 
 __all__ = [
     "PotentialConfig", "PotentialParams", "NeuralPotential",
     "init_potential_params", "potential_phi_batch", "potential_backward_batch",
     "LstmLmConfig", "LstmLmParams", "init_lstm_lm_params",
-    "lstm_lm_logprob", "lstm_lm_logprob_batch", "lstm_lm_loss_grads",
-    "lstm_lm_train_step",
+    "lstm_lm_logprob_batch", "lstm_lm_loss_grads", "lstm_lm_train_step",
 ]

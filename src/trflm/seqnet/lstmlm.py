@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..corpus import Sequence, group_by_length, stack_ids
+from ..corpus import group_by_length, stack_ids
 from . import layers
 
 
@@ -105,10 +105,6 @@ def lstm_lm_logprob_batch(params: LstmLmParams, ids) -> np.ndarray:
     _check_batch(params.config, ids)
     _, _, logits, lse = _forward(params, ids)
     return _gather_logprobs(params.config, ids, logits, lse)
-
-
-def lstm_lm_logprob(params: LstmLmParams, x: Sequence) -> float:
-    return float(lstm_lm_logprob_batch(params, np.array([x.ids]))[0])
 
 
 def lstm_lm_loss_grads(params: LstmLmParams, batch) -> tuple[float, dict]:

@@ -61,9 +61,6 @@ class PotentialParams:
     def zeros_like(self) -> dict[str, np.ndarray]:
         return {k: np.zeros_like(v) for k, v in self.tensors.items()}
 
-    def num_params(self) -> int:
-        return sum(v.size for v in self.tensors.values())
-
 
 def param_shapes(cfg: PotentialConfig) -> dict[str, tuple]:
     e, d = cfg.emb_dim, cfg.hidden_dim

@@ -16,7 +16,7 @@ from .ngram import load_ngram
 from .seqnet.lstmlm import LstmLmConfig, LstmLmParams
 from .seqnet.potential import NeuralPotential, PotentialConfig, PotentialParams
 from .trf import LstmReference, NgramReference, TrfModel, UniformReference
-from .util import atomic_write_text
+from .util import atomic_write_text, read_json
 
 FORMAT_VERSION = 1
 
@@ -42,8 +42,7 @@ def save_potential(params: PotentialParams, path) -> None:
 
 
 def load_potential(path) -> PotentialParams:
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
+    doc = read_json(path, "potential parameter file")
     if doc.get("format") != "trflm-potential" or doc.get("version") != FORMAT_VERSION:
         raise ValueError(f"not a readable potential parameter file: {path}")
     return PotentialParams(PotentialConfig(**doc["config"]), _tensors_from_doc(doc["tensors"]))
@@ -60,16 +59,14 @@ def save_lstm_lm(params: LstmLmParams, path) -> None:
 
 
 def load_lstm_lm(path) -> LstmLmParams:
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
+    doc = read_json(path, "LSTM LM parameter file")
     if doc.get("format") != "trflm-lstm-lm" or doc.get("version") != FORMAT_VERSION:
         raise ValueError(f"not a readable LSTM LM parameter file: {path}")
     return LstmLmParams(LstmLmConfig(**doc["config"]), _tensors_from_doc(doc["tensors"]))
 
 
 def save_trf_bundle(model: TrfModel, path, potential_file: str,
-                    vocab_file: str, reference_file: str | None = None,
-                    level: str = "word") -> None:
+                    vocab_file: str, reference_file: str | None = None) -> None:
     """The bundle references the potential parameter file and vocabulary by
     relative path and embeds zeta, the length prior, the reference descriptor,
     and the tokenization level."""
@@ -79,7 +76,7 @@ def save_trf_bundle(model: TrfModel, path, potential_file: str,
         "version": FORMAT_VERSION,
         "potential_file": potential_file,
         "vocab_file": vocab_file,
-        "level": level,
+        "level": model.level,
         "zeta": model.zeta.tolist(),
         "pi": model.length_prior.probs.tolist(),
         "reference": {"kind": ref.kind, "file": reference_file},
@@ -91,11 +88,7 @@ def load_trf_bundle(path) -> TrfModel:
     """Loads and cross-checks a bundle; a malformed one raises ValueError
     naming it."""
     from .corpus import load_vocabulary
-    with open(path, encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"model bundle {path} is not JSON: {exc}") from None
+    doc = read_json(path, "model bundle")
     if not isinstance(doc, dict) or doc.get("format") != "trflm-bundle" \
             or doc.get("version") != FORMAT_VERSION:
         raise ValueError(f"not a readable model bundle: {path}")
@@ -130,9 +123,7 @@ def load_trf_bundle(path) -> TrfModel:
     else:
         raise ValueError(f"model bundle {path}: unknown reference kind {kind!r}")
     try:
-        model = TrfModel(potential, np.array(doc["zeta"]), LengthPrior(np.array(doc["pi"])),
-                         reference, vocab)
+        return TrfModel(potential, np.array(doc["zeta"]), LengthPrior(np.array(doc["pi"])),
+                        reference, vocab, doc.get("level", "word"))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"model bundle {path}: {exc}") from None
-    model.level = doc.get("level", "word")
-    return model

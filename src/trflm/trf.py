@@ -41,9 +41,6 @@ class UniformReference:
             raise ValueError("payload alphabet must be nonempty")
         self.payload_size = payload_size
 
-    def log_q(self, x: Sequence) -> float:
-        return -(len(x) - 2) * float(np.log(self.payload_size))
-
     def log_q_batch(self, ids: np.ndarray) -> np.ndarray:
         n, length = ids.shape
         return np.full(n, -(length - 2) * float(np.log(self.payload_size)))
@@ -57,9 +54,6 @@ class NgramReference:
 
     def __init__(self, model: ngram_mod.NGramModel):
         self.model = model
-
-    def log_q(self, x: Sequence) -> float:
-        return ngram_mod.logprob_fixed_length(self.model, x)
 
     def log_q_batch(self, ids: np.ndarray) -> np.ndarray:
         return np.array([ngram_mod.logprob_fixed_length(self.model, Sequence(tuple(row)))
@@ -75,9 +69,6 @@ class LstmReference:
     def __init__(self, params: lstmlm.LstmLmParams):
         self.params = params
 
-    def log_q(self, x: Sequence) -> float:
-        return lstmlm.lstm_lm_logprob(self.params, x)
-
     def log_q_batch(self, ids: np.ndarray) -> np.ndarray:
         return lstmlm.lstm_lm_logprob_batch(self.params, ids)
 
@@ -89,6 +80,7 @@ class TrfModel:
     length_prior: LengthPrior
     reference: object
     vocab: Vocabulary
+    level: str = "word"          # tokenization of the text the model scores
 
     def __post_init__(self):
         self.zeta = np.asarray(self.zeta, dtype=np.float64)
@@ -96,6 +88,8 @@ class TrfModel:
             raise ValueError("zeta and length prior sizes disagree")
         if not np.all(np.isfinite(self.zeta)):
             raise ValueError("zeta must be finite")
+        if self.level not in ("word", "char"):
+            raise ValueError(f"unknown tokenization level: {self.level!r}")
 
     @property
     def max_len(self) -> int:

@@ -1,6 +1,7 @@
 """Shared numeric and I/O helpers."""
 from __future__ import annotations
 
+import json
 import os
 import zlib
 
@@ -42,6 +43,16 @@ def atomic_write_text(path, text: str) -> None:
     with open(tmp, "w", encoding="utf-8") as f:
         f.write(text)
     os.replace(tmp, path)
+
+
+def read_json(path, what: str):
+    """The JSON document in path; a file that is not JSON raises ValueError
+    naming it as `what`."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{what} {path} is not JSON: {exc}") from None
 
 
 def fmt(x) -> str:

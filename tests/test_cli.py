@@ -384,6 +384,7 @@ NGRAM_RESCORE_INI = ("[rescore]\nvocab = micro/out/vocab.txt\nlevel = char\n"
     ("nbest", "uttA first -1.0 a t", "rank must be an integer, got 'first'"),
     ("nbest", "uttA 0 loud a t", "acoustic score must be a finite number or NA, got 'loud'"),
     ("refs", "uttA", "reference 'uttA' has no tokens"),
+    ("refs", "uttA a n", "reference 'uttA' is repeated"),
 ])
 def test_rescore_malformed_line_names_file_and_line(micro, capsys, which, line, message):
     main(["train-ngram", "-c", "micro.ini"])
@@ -400,6 +401,32 @@ def test_rescore_malformed_line_names_file_and_line(micro, capsys, which, line, 
     err = capsys.readouterr().err
     assert err.startswith(f"error: {which}.txt:{len(files[which])}: {message}")
     assert err.count("\n") == 1
+
+
+def write_rescore_inputs(vocab, members, level="char", weights="grid"):
+    """rescore.ini over the given members, and a one-utterance n-best list with
+    its reference; returns the rescore command line."""
+    with open("rescore.ini", "w") as f:
+        f.write(f"[rescore]\nvocab = {vocab}\nlevel = {level}\nmembers = {members}\n"
+                f"weights = {weights}\n[output]\ndir = out\n")
+    with open("nbest.txt", "w") as f:
+        f.write("uttA 0 NA a t\n")
+    with open("refs.txt", "w") as f:
+        f.write("uttA a t\n")
+    return ["rescore", "-c", "rescore.ini", "--nbest", "nbest.txt", "--refs", "refs.txt"]
+
+
+def test_rescore_rejects_malformed_weights(micro, capsys):
+    main(["train-ngram", "-c", "micro.ini"])
+    members = "ngram:micro/out/ngram.json ngram:micro/out/ngram.json"
+    # not a number, not finite, and one weight for two members
+    for weights in ("x 1", "nan 1", "1 inf", "1"):
+        argv = write_rescore_inputs("micro/out/vocab.txt", members, weights=weights)
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: key 'weights' in [rescore]") and repr(weights) in err
+        assert err.count("\n") == 1
 
 
 @pytest.fixture(scope="module")
@@ -422,7 +449,7 @@ def trained_micro(tmp_path_factory):
 
 @pytest.mark.parametrize("command", ["rescore", "enumerate-z"])
 @pytest.mark.parametrize("fault", ["pi", "zeta", "vocab_file", "potential_file", "vocab_size",
-                                   "not_json"])
+                                   "not_json", "level"])
 def test_malformed_bundle_is_clean_error(trained_micro, tmp_path, monkeypatch, capsys,
                                          command, fault):
     monkeypatch.chdir(tmp_path)
@@ -437,6 +464,8 @@ def test_malformed_bundle_is_clean_error(trained_micro, tmp_path, monkeypatch, c
         with open("vocab.txt", "w") as f:
             f.write(symbols + "q\n")
         doc["vocab_file"] = "vocab.txt"
+    elif fault == "level":
+        doc["level"] = "phoneme"
     elif fault != "not_json":
         del doc[fault]
     with open("bad.json", "w") as f:
@@ -444,14 +473,7 @@ def test_malformed_bundle_is_clean_error(trained_micro, tmp_path, monkeypatch, c
         if fault == "not_json":
             f.write(",")
     if command == "rescore":
-        with open("rescore.ini", "w") as f:
-            f.write(f"[rescore]\nvocab = {trained_micro / 'vocab.txt'}\nlevel = char\n"
-                    "members = trf:bad.json\n[output]\ndir = out\n")
-        with open("nbest.txt", "w") as f:
-            f.write("uttA 0 NA a t\n")
-        with open("refs.txt", "w") as f:
-            f.write("uttA a t\n")
-        argv = ["rescore", "-c", "rescore.ini", "--nbest", "nbest.txt", "--refs", "refs.txt"]
+        argv = write_rescore_inputs(trained_micro / "vocab.txt", "trf:bad.json")
     else:
         argv = ["enumerate-z", "--model", "bad.json"]
     capsys.readouterr()
@@ -459,6 +481,43 @@ def test_malformed_bundle_is_clean_error(trained_micro, tmp_path, monkeypatch, c
     captured = capsys.readouterr()
     assert captured.err.startswith("error: model bundle ") and "bad.json" in captured.err
     assert captured.err.count("\n") == 1
-    expect = {"vocab_size": "vocabulary", "not_json": "not JSON"}.get(fault, repr(fault))
+    expect = {"vocab_size": "vocabulary", "not_json": "not JSON",
+              "level": "'phoneme'"}.get(fault, repr(fault))
     assert expect in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("kind", ["ngram", "lstm", "potential"])
+def test_model_file_not_json_names_the_file(trained_micro, tmp_path, monkeypatch, capsys, kind):
+    monkeypatch.chdir(tmp_path)
+    with open("bad.json", "w") as f:
+        f.write("not json\n")
+    member = f"{kind}:bad.json"
+    if kind == "potential":
+        with open(trained_micro / "trf.json") as f:
+            doc = json.load(f)
+        doc["vocab_file"] = str(trained_micro / "vocab.txt")
+        doc["potential_file"] = "bad.json"
+        with open("bundle.json", "w") as f:
+            json.dump(doc, f)
+        member = "trf:bundle.json"
+    argv = write_rescore_inputs(trained_micro / "vocab.txt", member)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{tmp_path / 'bad.json'} is not JSON" in err
+
+
+def test_rescore_rejects_trf_member_of_another_level(trained_micro, tmp_path, monkeypatch,
+                                                     capsys):
+    # the micro TRF was trained on characters; word-level text would be
+    # encoded into different sequences than the ones it was trained on
+    monkeypatch.chdir(tmp_path)
+    argv = write_rescore_inputs(trained_micro / "vocab.txt",
+                                f"trf:{trained_micro / 'trf.json'}", level="word")
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: member ") and err.count("\n") == 1
+    assert "level 'char'" in err and "level is 'word'" in err

@@ -4,11 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from trflm import evalkit
 from trflm.corpus import LengthPrior, build_vocabulary, encode
-from trflm.evalkit import (CombinedScorer, Hypothesis, NBestList, NgramScorer,
-                           corpus_wer, grid_search_weights, read_nbest_file,
-                           read_refs_file, rescore, rescore_with_weights,
-                           score_hypothesis, wer, write_nbest_file,
-                           write_refs_file)
+from trflm.evalkit import (Hypothesis, NBestList, NgramScorer, corpus_wer,
+                           grid_search_weights, read_nbest_file, read_refs_file,
+                           rescore_with_weights, wer, write_nbest_file, write_refs_file)
 from trflm.ngram import logprob_sentence, train_ngram
 
 # -- independent oracle: two-row iterative edit distance -----------------------
@@ -108,69 +106,62 @@ class TableScorer:
         return np.array([self.table[t] for t in texts])
 
 
-def make_nbest(texts, acoustics=None):
+def make_nbest(texts, acoustics=None, utt="u1"):
     acoustics = acoustics or [None] * len(texts)
-    return NBestList("u1", tuple(Hypothesis(t, a, r)
-                                 for r, (t, a) in enumerate(zip(texts, acoustics))))
+    return NBestList(utt, tuple(Hypothesis(t, a, r)
+                                for r, (t, a) in enumerate(zip(texts, acoustics))))
+
+
+def pick(members, weights, *nbests):
+    """The picked text of each n-best list, in order."""
+    best = rescore_with_weights(members, weights, list(nbests))
+    return [best[nb.utt_id] for nb in nbests]
 
 
 def test_single_member_weight_one_is_identity():
-    scorer = CombinedScorer(((LengthScorer(), 1.0),))
-    assert score_hypothesis(scorer, "a b c") == -3.0
+    rng = np.random.default_rng(8)
+    texts = [f"t{i}" for i in range(6)]
+    table = TableScorer(dict(zip(texts, rng.permutation(6).astype(float))))
+    assert pick([table], (1.0,), make_nbest(texts)) == [max(texts, key=table.table.get)]
 
 
 def test_two_identical_members_half_weight():
-    combined = CombinedScorer(((LengthScorer(), 0.5), (LengthScorer(), 0.5)))
-    single = CombinedScorer(((LengthScorer(), 1.0),))
-    for text in ("a", "a b", "a b c d"):
-        assert score_hypothesis(combined, text) == score_hypothesis(single, text)
+    nbests, _ = random_nbests(np.random.default_rng(5))
+    texts = {h.text for nb in nbests for h in nb.hypotheses}
+    table = TableScorer({t: float(s) for t, s in
+                         zip(sorted(texts), np.random.default_rng(6).normal(size=len(texts)))})
+    assert pick([table, table], (0.5, 0.5), *nbests) == pick([table], (1.0,), *nbests)
 
 
 def test_zero_weight_member_cannot_poison():
-    neginf = ConstScorer(-np.inf)
-    scorer = CombinedScorer(((LengthScorer(), 1.0), (neginf, 0.0)))
-    assert np.isfinite(score_hypothesis(scorer, "a b"))
+    nb = make_nbest(["a b", "a", "a b c"])
+    assert pick([LengthScorer(), ConstScorer(-np.inf)], (1.0, 0.0), nb) == ["a"]
 
 
 def test_acoustic_score_added_verbatim():
-    scorer = CombinedScorer(((LengthScorer(), 1.0),))
-    h = Hypothesis("a b", -2.5, 0)
-    assert score_hypothesis(scorer, h) == -2.0 - 2.5
+    # at member weight 0.5 the totals are -1.0 for "a b" and -0.5 + acoustic
+    # for "a": the acoustic score counts in full, not scaled by the weight
+    for acoustic, expect in ((-0.75, "a b"), (-0.25, "a")):
+        nb = make_nbest(["a b", "a"], acoustics=[0.0, acoustic])
+        assert pick([LengthScorer()], (0.5,), nb) == [expect]
 
 
 def test_rescore_identity_member_and_tie_break():
     nb = make_nbest(["a b", "a", "a b c"])
-    ranked = rescore(CombinedScorer(((LengthScorer(), 1.0),)), nb)
-    assert [h.text for h in ranked] == ["a", "a b", "a b c"]
-    ties = make_nbest(["b b", "a a"])   # equal scores: original rank wins
-    ranked = rescore(CombinedScorer(((LengthScorer(), 1.0),)), ties)
-    assert [h.text for h in ranked] == ["b b", "a a"]
+    ties = make_nbest(["b b", "a a"], utt="u2")   # equal scores: the lower rank wins
+    assert pick([LengthScorer()], (1.0,), nb, ties) == ["a", "b b"]
 
 
 def test_reversed_weights_reverse_ranking():
     nb = make_nbest(["a a", "b"])
-    up = rescore(CombinedScorer(((LengthScorer(), 1.0),)), nb)
-    down = rescore(CombinedScorer(((LengthScorer(), -1.0),)), nb)
-    assert [h.text for h in up] == ["b", "a a"]
-    assert [h.text for h in down] == ["a a", "b"]
-
-
-def test_rescore_agrees_with_brute_force():
-    rng = np.random.default_rng(4)
-    scorer = CombinedScorer(((LengthScorer(), 0.7), (ConstScorer(0.1), 0.3)))
-    texts = [" ".join(rng.choice(list("abc"), size=rng.integers(1, 6))) for _ in range(8)]
-    nb = make_nbest(texts, acoustics=rng.normal(size=8).tolist())
-    ranked = rescore(scorer, nb)
-    brute = sorted(nb.hypotheses,
-                   key=lambda h: (-score_hypothesis(scorer, h), h.rank))
-    assert [h.text for h in ranked] == [h.text for h in brute]
+    assert pick([LengthScorer()], (1.0,), nb) == ["b"]
+    assert pick([LengthScorer()], (-1.0,), nb) == ["a a"]
 
 
 def test_rank_invariance_under_constant_shift():
-    nb = make_nbest(["a b", "b", "c c c"])
-    base = rescore(CombinedScorer(((LengthScorer(), 1.0),)), nb)
-    shifted = rescore(CombinedScorer(((LengthScorer(), 1.0), (ConstScorer(123.0), 1.0))), nb)
-    assert [h.text for h in base] == [h.text for h in shifted]
+    nbests, _ = random_nbests(np.random.default_rng(7))
+    base = pick([LengthScorer()], (1.0,), *nbests)
+    assert pick([LengthScorer(), ConstScorer(123.0)], (1.0, 1.0), *nbests) == base
 
 
 def test_combined_beats_each_corner_on_exhaustive_list():
@@ -243,7 +234,8 @@ def test_benchmark_generator_shapes(tiny_vocab):
 
 def test_scorer_batches_match_per_row_scoring():
     from trflm.seqnet import (LstmLmConfig, NeuralPotential, PotentialConfig,
-                              init_lstm_lm_params, init_potential_params, lstm_lm_logprob)
+                              init_lstm_lm_params, init_potential_params,
+                              lstm_lm_logprob_batch)
     from trflm.trf import TrfModel, UniformReference, log_joint
     vocab = build_vocabulary(["ab", "ba", "abc", "ca"], level="char")
     data = [encode(w, vocab, level="char") for w in ("ab", "ba", "abc", "ca")]
@@ -262,7 +254,8 @@ def test_scorer_batches_match_per_row_scoring():
 
     per_row = {
         "ngram": [logprob_sentence(ngram, encoded(t)) for t in texts],
-        "lstm": [-np.inf if len(encoded(t)) > 5 else lstm_lm_logprob(lstm, encoded(t))
+        "lstm": [-np.inf if len(encoded(t)) > 5
+                 else lstm_lm_logprob_batch(lstm, np.array([encoded(t).ids]))[0]
                  for t in texts],
         "trf": [log_joint(trf, encoded(t)) for t in texts],
     }

@@ -7,11 +7,11 @@ import pytest
 from conftest import TabularPotential
 from trflm.corpus import LengthPrior, Sequence, Vocabulary, encode
 from trflm.nce import (Adam, NceConfig, Sgd, classification_weights,
-                       nce_gradients, nce_objective, posterior_data, train)
+                       nce_gradients, nce_objective, train)
 from trflm.ngram import train_ngram
 from trflm.noise import NoiseBatch, NoiseDistribution, draw_noise_batch, noise_logprob
 from trflm.seqnet import NeuralPotential, PotentialConfig, init_potential_params
-from trflm.trf import NgramReference, TrfModel, UniformReference
+from trflm.trf import NgramReference, TrfModel, UniformReference, log_joint
 
 
 @pytest.fixture
@@ -23,41 +23,46 @@ def setting(tiny_vocab):
     return tiny_vocab, LengthPrior(pi.probs), NoiseDistribution(pi, base), data
 
 
+def posterior_model(setting, x, log_p):
+    """A neural model whose log p(x) is log_p, set through zeta."""
+    vocab, pi, _, _ = setting
+    params = init_potential_params(PotentialConfig(vocab_size=vocab.size, emb_dim=3,
+                                                   hidden_dim=3), 9)
+    model = TrfModel(NeuralPotential(params), np.zeros(4), pi, UniformReference(3), vocab)
+    model.zeta[len(x) - 1] = log_joint(model, x) - log_p
+    return model
+
+
+def data_posterior(model, nd, x, nu):
+    """P(C=0 | l, x^l) of the one-row data batch [x], from the step statistics."""
+    noise = NoiseBatch((x,) * nu, np.full(nu, noise_logprob(nd, x)), nu)
+    return nce_gradients(model, nd, [x], noise)[2].mean_post_data
+
+
 def test_posterior_symmetry_point(setting):
-    vocab, pi, nd, _ = setting
+    vocab, _, nd, _ = setting
     x = Sequence((vocab.bos, vocab.id_of("a"), vocab.eos))
     nu = 7
-    # arrange phi so that p == nu * p_n exactly
-    target = math.log(nu) + noise_logprob(nd, x)
-    phi = target - pi.log_prob(3) - UniformReference(3).log_q(x)
-    model = TrfModel(TabularPotential({x.ids: phi}), np.zeros(4), pi, UniformReference(3), vocab)
-    assert posterior_data(model, nd, x, nu) == pytest.approx(0.5, abs=1e-12)
+    # p == nu * p_n exactly
+    model = posterior_model(setting, x, math.log(nu) + noise_logprob(nd, x))
+    assert data_posterior(model, nd, x, nu) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_posterior_direct_substitution(setting):
     # p = 20 * p_n with nu = 10 gives p/(p + 10 p_n) = 2/3
-    vocab, pi, nd, _ = setting
+    vocab, _, nd, _ = setting
     x = Sequence((vocab.bos, vocab.id_of("b"), vocab.eos))
-    phi = math.log(20) + noise_logprob(nd, x) - pi.log_prob(3) - UniformReference(3).log_q(x)
-    model = TrfModel(TabularPotential({x.ids: phi}), np.zeros(4), pi, UniformReference(3), vocab)
-    assert posterior_data(model, nd, x, 10) == pytest.approx(2.0 / 3.0, abs=1e-12)
+    model = posterior_model(setting, x, math.log(20) + noise_logprob(nd, x))
+    assert data_posterior(model, nd, x, 10) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 def test_posterior_limits(setting):
-    vocab, pi, nd, _ = setting
+    vocab, _, nd, _ = setting
     x = Sequence((vocab.bos, vocab.id_of("a"), vocab.eos))
-    strong = TrfModel(TabularPotential(default=500.0), np.zeros(4), pi, UniformReference(3), vocab)
-    assert posterior_data(strong, nd, x, 10) == pytest.approx(1.0, abs=1e-12)
-    weak = TrfModel(TabularPotential(default=-500.0), np.zeros(4), pi, UniformReference(3), vocab)
-    assert posterior_data(weak, nd, x, 10) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_posterior_impossible_everywhere(setting):
-    vocab, pi, nd, _ = setting
-    x = Sequence((vocab.bos, vocab.eos))   # zero prior length
-    model = TrfModel(TabularPotential(), np.zeros(4), pi, UniformReference(3), vocab)
-    with pytest.raises(ValueError, match="impossible"):
-        posterior_data(model, nd, x, 10)
+    strong = posterior_model(setting, x, 500.0)
+    assert data_posterior(strong, nd, x, 10) == pytest.approx(1.0, abs=1e-12)
+    weak = posterior_model(setting, x, -500.0)
+    assert data_posterior(weak, nd, x, 10) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_objective_at_model_equals_noise(setting):
@@ -79,7 +84,6 @@ def test_objective_matches_independent_evaluation(setting):
     nu = 3
     noise = draw_noise_batch(nd, len(batch), nu, np.random.default_rng(1))
 
-    from trflm.trf import log_joint
     total = 0.0
     for s in batch:
         p, q = math.exp(log_joint(model, s)), math.exp(noise_logprob(nd, s))

@@ -166,15 +166,15 @@ def test_fixed_length_rejects_malformed(tiny_vocab, toy_corpus):
 
 def test_sampler_deterministic(tiny_vocab, toy_corpus):
     model = train_ngram(toy_corpus, 2, tiny_vocab)
-    s1 = sample_fixed_length(model, 4, np.random.default_rng(42))
-    s2 = sample_fixed_length(model, 4, np.random.default_rng(42))
-    assert s1 == s2
+    s1, lp1 = sample_fixed_length(model, 4, np.random.default_rng(42))
+    s2, lp2 = sample_fixed_length(model, 4, np.random.default_rng(42))
+    assert s1 == s2 and lp1 == lp2
 
 
 def test_sampler_minimal_length(tiny_vocab, toy_corpus):
     model = train_ngram(toy_corpus, 2, tiny_vocab)
-    s = sample_fixed_length(model, 2, np.random.default_rng(0))
-    assert s.ids == (tiny_vocab.bos, tiny_vocab.eos)
+    s, lp = sample_fixed_length(model, 2, np.random.default_rng(0))
+    assert s.ids == (tiny_vocab.bos, tiny_vocab.eos) and lp == 0.0
 
 
 def test_sampler_matches_scorer_chisquare(tiny_vocab, toy_corpus):
@@ -189,7 +189,7 @@ def test_sampler_matches_scorer_chisquare(tiny_vocab, toy_corpus):
     counts = np.zeros(len(space))
     n = 50_000
     for _ in range(n):
-        counts[index[sample_fixed_length(model, l, rng).ids]] += 1
+        counts[index[sample_fixed_length(model, l, rng)[0].ids]] += 1
     stat = float(((counts - n * probs) ** 2 / (n * probs)).sum())
     p = float(stats.chi2.sf(stat, df=len(space) - 1))
     assert p > 0.01

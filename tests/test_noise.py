@@ -108,14 +108,3 @@ def test_joint_sampler_matches_density(tiny_vocab):
         counts[index[s.ids]] += 1
     stat = float(((counts - n * probs) ** 2 / (n * probs)).sum())
     assert stats.chi2.sf(stat, df=len(space) - 1) > 0.01
-
-
-def test_dump_batch_renders_symbols(nd_tiny, v2pay):
-    from trflm.noise import dump_batch
-    batch = draw_noise_batch(nd_tiny, 2, 1, np.random.default_rng(0))
-    text = dump_batch(batch, v2pay)
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("# nu=1")
-    assert len(lines) == 3
-    assert all(ln.split("\t")[1].startswith("<s>") for ln in lines[1:])
-

@@ -6,8 +6,7 @@ import pytest
 from trflm.corpus import Sequence
 from trflm.gradcheck import numeric_grad_tensors, relative_errors
 from trflm.seqnet import (LstmLmConfig, PotentialConfig, init_lstm_lm_params,
-                          init_potential_params, lstm_lm_logprob,
-                          lstm_lm_logprob_batch, lstm_lm_loss_grads,
+                          init_potential_params, lstm_lm_logprob_batch, lstm_lm_loss_grads,
                           lstm_lm_train_step, potential_backward_batch,
                           potential_phi_batch)
 from trflm.seqnet.layers import conv1d_backward, conv1d_forward, lstm_backward, lstm_forward
@@ -171,17 +170,17 @@ def test_lstm_lm_total_mass_is_one(layers):
 
 def test_lstm_lm_logprob_nonpositive_and_deterministic():
     params = init_lstm_lm_params(lm_cfg(max_len=6), seed=2)
-    s = Sequence((0, 3, 4, 3, 1))
-    vals = {lstm_lm_logprob(params, s) for _ in range(3)}
+    ids = np.array([(0, 3, 4, 3, 1)])
+    vals = {lstm_lm_logprob_batch(params, ids)[0] for _ in range(3)}
     assert len(vals) == 1 and vals.pop() <= 0.0
 
 
 def test_lstm_lm_rejects_bad_sequences():
     params = init_lstm_lm_params(lm_cfg(max_len=4), seed=0)
     with pytest.raises(ValueError):
-        lstm_lm_logprob(params, Sequence((0, 3, 3, 3, 1)))   # too long
+        lstm_lm_logprob_batch(params, np.array([(0, 3, 3, 3, 1)]))   # too long
     with pytest.raises(ValueError):
-        lstm_lm_logprob(params, Sequence((3, 4, 1)))          # no begin
+        lstm_lm_logprob_batch(params, np.array([(3, 4, 1)]))          # no begin
 
 
 def test_lstm_lm_gradient_matches_finite_differences():

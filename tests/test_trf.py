@@ -65,7 +65,8 @@ def test_log_joint_matches_independent_reimplementation():
     for _ in range(50):
         l = int(rng.choice([2, 3, 4]))
         x = Sequence((vocab.bos, *rng.choice(vocab.payload_ids, size=l - 2).tolist(), vocab.eos))
-        expect = (math.log(pi.prob(l)) + ref.log_q(x) + pot.phi_batch(np.array([x.ids]))[0] - zeta[l - 1])
+        ids = np.array([x.ids])
+        expect = math.log(pi.prob(l)) + ref.log_q_batch(ids)[0] + pot.phi_batch(ids)[0] - zeta[l - 1]
         assert log_joint(model, x) == pytest.approx(expect, rel=1e-12)
 
 
@@ -134,7 +135,8 @@ def test_nll_pure_reference(v4):
     model = TrfModel(zeroed_neural(4), np.zeros(3), pi, ref, v4)
     data = [Sequence((v4.bos, 3, v4.eos)), Sequence((v4.bos, v4.eos)),
             Sequence((v4.bos, 2, v4.eos))]
-    expect = -np.mean([math.log(pi.prob(len(x))) + ref.log_q(x) for x in data])
+    expect = -np.mean([math.log(pi.prob(len(x))) + ref.log_q_batch(np.array([x.ids]))[0]
+                       for x in data])
     assert nll(model, data, "exact") == pytest.approx(expect, abs=1e-12)
 
 

@@ -8,6 +8,7 @@ directory.
 from __future__ import annotations
 
 import argparse
+import configparser
 import math
 import os
 import shutil
@@ -122,7 +123,6 @@ class ExperimentConfig:
 
 
 def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
-    import configparser
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     cp.read_string(text)
@@ -138,7 +138,10 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
 
 def load_config(path, check_paths: bool = True) -> ExperimentConfig:
     with open(path, encoding="utf-8") as f:
-        cfg = parse_config_text(f.read(), base_dir=os.getcwd())
+        try:
+            cfg = parse_config_text(f.read(), base_dir=os.getcwd())
+        except configparser.Error as exc:   # on one line, naming the file, not '<string>'
+            raise ConfigError(" ".join(str(exc).replace("'<string>'", repr(str(path))).split()))
     if check_paths:
         for section, key in PATH_KEYS:
             if section in cfg.raw and key in cfg.raw[section]:
@@ -171,28 +174,17 @@ def _outdir(cfg: ExperimentConfig) -> str:
     return d
 
 
-def _check_vocab_size(what: str, got: int, vocab) -> None:
-    if got != vocab.size:
-        raise ConfigError(f"{what} was built for a {got}-symbol vocabulary, "
-                          f"but the corpus vocabulary has {vocab.size}")
-
-
 def _reference(cfg: ExperimentConfig, vocab):
     kind = cfg.get("model", "reference")
     ref_file = cfg.path("model", "reference_file")
     if kind == "uniform":
         return UniformReference(len(vocab.payload_ids)), None
+    if kind not in ("ngram", "lstm"):
+        raise ConfigError(f"unknown reference kind {kind!r} in [model]")
     if ref_file is None:
         raise ConfigError(f"reference {kind!r} needs key 'reference_file' in [model]")
-    if kind == "ngram":
-        model = ngram_mod.load_ngram(ref_file)
-        _check_vocab_size("the n-gram reference", model.vocab_size, vocab)
-        return NgramReference(model), ref_file
-    if kind == "lstm":
-        params = serialize.load_lstm_lm(ref_file)
-        _check_vocab_size("the LSTM reference", params.config.vocab_size, vocab)
-        return LstmReference(params), ref_file
-    raise ConfigError(f"unknown reference kind {kind!r} in [model]")
+    model = serialize.load_model_file(kind, ref_file, vocab)
+    return (NgramReference(model) if kind == "ngram" else LstmReference(model)), ref_file
 
 
 # -- commands ------------------------------------------------------------------
@@ -315,8 +307,7 @@ def cmd_train_trf(args) -> int:
         lr_theta=cfg.get("training", "lr_theta"), lr_zeta=cfg.get("training", "lr_zeta"),
         optimizer_theta=cfg.get("training", "optimizer"),
         optimizer_zeta=cfg.get("training", "optimizer_zeta") or cfg.get("training", "optimizer"),
-        schedule=cfg.get("training", "schedule"), seed=seed,
-        zeta_init=cfg.get("model", "zeta_init"))
+        schedule=cfg.get("training", "schedule"), seed=seed)
 
     out = _outdir(cfg)
     steps_tmp = os.path.join(out, "metrics_steps.csv.tmp")
@@ -381,14 +372,9 @@ def _build_members(cfg: ExperimentConfig, vocab, level):
         path = path if os.path.isabs(path) else os.path.join(cfg.base_dir, path)
         if not os.path.exists(path):
             raise ConfigError(f"member model file does not exist: {path}")
-        if kind == "ngram":
-            model = ngram_mod.load_ngram(path)
-            _check_vocab_size(f"member {path}", model.vocab_size, vocab)
-            members.append(evalkit.NgramScorer(model, vocab, level))
-        elif kind == "lstm":
-            params = serialize.load_lstm_lm(path)
-            _check_vocab_size(f"member {path}", params.config.vocab_size, vocab)
-            members.append(evalkit.LstmScorer(params, vocab, level))
+        if kind in ("ngram", "lstm"):
+            scorer = evalkit.NgramScorer if kind == "ngram" else evalkit.LstmScorer
+            members.append(scorer(serialize.load_model_file(kind, path, vocab), vocab, level))
         elif kind == "trf":
             model = serialize.load_trf_bundle(path)
             if model.level != level:

@@ -92,7 +92,7 @@ class LengthPrior:
         object.__setattr__(self, "probs", p)
         if p.ndim != 1 or p.size < 1:
             raise ValueError("length prior must be a nonempty vector")
-        if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-12:
+        if not np.all(p >= 0) or abs(float(p.sum()) - 1.0) > 1e-12:   # NaN fails both
             raise ValueError("length prior entries must be >= 0 and sum to 1")
 
     @property
@@ -179,9 +179,11 @@ def save_vocabulary(vocab: Vocabulary, path) -> None:
 
 
 def load_vocabulary(path) -> Vocabulary:
-    with open(path, encoding="utf-8") as f:
-        symbols = tuple(ln.rstrip("\n") for ln in f)
-    return Vocabulary(symbols)
+    try:
+        with open(path, encoding="utf-8") as f:
+            return Vocabulary(tuple(ln.rstrip("\n") for ln in f))
+    except ValueError as exc:   # a repeated symbol, or not UTF-8
+        raise ValueError(f"vocabulary file {path}: {exc}") from None
 
 
 def stack_ids(seqs) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import ngram as ngram_mod
 from .corpus import Vocabulary, encode, group_by_length, stack_ids
-from .seqnet import lstmlm
+from .seqnet import Params, lstmlm
 from .trf import TrfModel, log_joint_batch
 from .util import atomic_write_text, fmt
 
@@ -140,7 +140,7 @@ class LstmScorer(_Scorer):
 
     kind = "lstm"
 
-    def __init__(self, params: lstmlm.LstmLmParams, vocab: Vocabulary, level: str = "word"):
+    def __init__(self, params: Params, vocab: Vocabulary, level: str = "word"):
         self.params, self.vocab, self.level = params, vocab, level
 
     def _score(self, ids: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 from .corpus import group_by_length, stack_ids
 from .noise import NoiseBatch, NoiseDistribution, draw_noise_batch, noise_logprob
 from .seqnet.potential import potential_backward_batch, potential_phi_batch
-from .trf import TrfModel, exact_zeta, log_joint_batch, nll as trf_nll, zeta_init_vector
+from .trf import TrfModel, exact_zeta, log_joint_batch, nll as trf_nll
 from .util import derive_rng, fmt, log_sigmoid
 
 
@@ -43,7 +43,6 @@ class NceConfig:
     optimizer_zeta: str = "adam"
     schedule: str = "fixed"            # or "halve-each-epoch"
     seed: int = 0                      # two runs with one seed are bit-identical
-    zeta_init: str = "l-log-v"         # "linear", "zeros", or "keep"
 
     def __post_init__(self):
         if self.nu < 1:
@@ -203,16 +202,14 @@ def _batch_sizes(n: int, batch_size: int) -> list[int]:
 def train(model: TrfModel, nd: NoiseDistribution, dataset, config: NceConfig,
           valid=None, oracle_metrics: bool = False, oracle_budget: int = 10_000_000,
           step_log=None, epoch_log=None) -> TrainResult:
-    """Run the NCE loop: shuffled mini-batches, one optimizer per parameter
-    group, per-step stats and per-epoch NLL / zeta-gap metrics (the latter via
-    the brute-force oracle when oracle_metrics is set).
+    """Run the NCE loop from the model's current weights and zeta: shuffled
+    mini-batches, one optimizer per parameter group, per-step stats and
+    per-epoch NLL / zeta-gap metrics (the latter via the oracle when oracle_metrics is set).
 
     step_log / epoch_log are writable text handles for the CSV metrics.
     """
     if not dataset:
         raise ValueError("empty dataset")
-    if config.zeta_init != "keep":
-        model.zeta = zeta_init_vector(config.zeta_init, model.max_len, model.vocab.size)
     supported = np.zeros(model.max_len, dtype=bool)
     for l in model.supported_lengths:
         supported[l - 1] = True

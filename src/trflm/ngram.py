@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Sequence, Vocabulary
-from .util import atomic_write_text, read_json
+from .util import atomic_write_text, parse_json_file
 
 FORMAT_VERSION = 1
 
@@ -105,11 +105,6 @@ def train_ngram(dataset, order: int, vocab: Vocabulary) -> NGramModel:
         n1, n2 = cofc.get(1, 0), cofc.get(2, 0)
         discounts[k] = n1 / (n1 + 2.0 * n2) if n1 > 0 and n2 > 0 else 0.5
     return NGramModel(order, vocab.size, vocab.bos, vocab.eos, tables, discounts)
-
-
-def logprob_conditional(model: NGramModel, context, next_id: int) -> float:
-    """log P(next | context); backs off through shorter contexts, always finite."""
-    return float(np.log(model.conditional_dist(context)[next_id]))
 
 
 def _check_boundaries(model: NGramModel, seq: Sequence) -> None:
@@ -206,20 +201,35 @@ def to_json_dict(model: NGramModel) -> dict:
     }
 
 
-def from_json_dict(doc: dict) -> NGramModel:
-    if doc.get("format") != "trflm-ngram":
-        raise ValueError("not an n-gram model file")
-    if doc.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported n-gram model version: {doc.get('version')}")
-    tables: dict[int, dict[tuple, Counter]] = {}
-    for k, ctxs in doc["tables"].items():
-        tables[int(k)] = {
-            tuple(int(t) for t in key.split()) if key else ():
-                Counter({int(w): c for w, c in counts.items()})
-            for key, counts in ctxs.items()
-        }
-    return NGramModel(doc["order"], doc["vocab_size"], doc["bos"], doc["eos"],
-                      tables, {int(k): v for k, v in doc["discounts"].items()})
+def from_json_dict(doc) -> NGramModel:
+    """The model of a to_json_dict document; a document of another shape raises
+    ValueError saying what is wrong."""
+    if not isinstance(doc, dict) or doc.get("format") != "trflm-ngram" \
+            or doc.get("version") != FORMAT_VERSION:
+        raise ValueError(f"not a trflm-ngram file of version {FORMAT_VERSION}")
+    order, size, bos, eos = head = [doc.get(k) for k in ("order", "vocab_size", "bos", "eos")]
+    if not all(type(v) is int for v in head) or order < 1 or bos == eos \
+            or not (0 <= bos < size and 0 <= eos < size):
+        raise ValueError("order >= 1, vocab_size, and distinct bos and eos below it must be ints")
+    tables, discounts = doc.get("tables"), doc.get("discounts")
+    if not all(isinstance(v, dict) and len(v) == order for v in (tables, discounts)) \
+            or not tables.keys() == discounts.keys() == set(map(str, range(1, order + 1))) \
+            or not all(type(d) in (int, float) and 0 <= d <= 1 for d in discounts.values()):
+        raise ValueError(f"tables and discounts (in [0, 1]) must be keyed by the orders 1..{order}")
+    model = NGramModel(order, size, bos, eos, {}, {int(k): d for k, d in discounts.items()})
+    for k, ctxs in tables.items():
+        problem = ValueError(f"the order-{k} table must map {int(k) - 1} context ids to "
+                             f"positive counts of ids below {size}")
+        if not isinstance(ctxs, dict) or not all(isinstance(c, dict) for c in ctxs.values()):
+            raise problem
+        model.tables[int(k)] = table = {
+            tuple(map(int, key.split())): Counter({int(w): c for w, c in counts.items()})
+            for key, counts in ctxs.items()}
+        if not all(len(ctx) == int(k) - 1 and all(0 <= i < size for i in ctx + tuple(counts))
+                   and all(type(c) is int and c > 0 for c in counts.values())
+                   for ctx, counts in table.items()):
+            raise problem
+    return model
 
 
 def save_ngram(model: NGramModel, path) -> None:
@@ -227,7 +237,7 @@ def save_ngram(model: NGramModel, path) -> None:
 
 
 def load_ngram(path) -> NGramModel:
-    return from_json_dict(read_json(path, "n-gram model file"))
+    return parse_json_file(path, "n-gram model file", from_json_dict)
 
 
 # -- ARPA export --------------------------------------------------------------

@@ -4,15 +4,16 @@
 `lstmlm` is a small autoregressive LSTM language model usable as a reference
 distribution and as a rescoring member. Everything is float64 numpy.
 """
-from .potential import (PotentialConfig, PotentialParams, NeuralPotential,
+from .layers import Params
+from .potential import (PotentialConfig, NeuralPotential,
                         init_potential_params, potential_phi_batch,
                         potential_backward_batch)
-from .lstmlm import (LstmLmConfig, LstmLmParams, init_lstm_lm_params,
+from .lstmlm import (LstmLmConfig, init_lstm_lm_params,
                      lstm_lm_logprob_batch, lstm_lm_loss_grads, lstm_lm_train_step)
 
 __all__ = [
-    "PotentialConfig", "PotentialParams", "NeuralPotential",
+    "Params", "PotentialConfig", "NeuralPotential",
     "init_potential_params", "potential_phi_batch", "potential_backward_batch",
-    "LstmLmConfig", "LstmLmParams", "init_lstm_lm_params",
+    "LstmLmConfig", "init_lstm_lm_params",
     "lstm_lm_logprob_batch", "lstm_lm_loss_grads", "lstm_lm_train_step",
 ]

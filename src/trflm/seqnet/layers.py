@@ -1,4 +1,4 @@
-"""Layer primitives: half convolution, ReLU, LSTM.
+"""Layer primitives (half convolution, ReLU, LSTM) and Params, the weights of every network.
 
 Each forward takes batched (N, L, C) float64 input and returns (out, cache);
 the matching backward consumes the cache and returns input/parameter grads.
@@ -6,11 +6,27 @@ Batches hold same-length sequences, so no masking is needed anywhere.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 
-def uniform_init(rng: np.random.Generator, shape, scale: float = 0.1) -> np.ndarray:
-    return rng.uniform(-scale, scale, size=shape)
+@dataclass
+class Params:
+    """A network's config and its weights, one tensor per config.param_shapes() entry."""
+
+    config: object
+    tensors: dict[str, np.ndarray] = field(repr=False)
+
+    def zeros_like(self) -> dict[str, np.ndarray]:
+        return {k: np.zeros_like(v) for k, v in self.tensors.items()}
+
+
+def init_params(config, seed=0, scale: float = 0.1) -> Params:
+    """Each tensor of config.param_shapes() in turn, uniform on [-scale, scale]."""
+    rng = np.random.default_rng(seed) if isinstance(seed, int) else seed
+    return Params(config, {name: rng.uniform(-scale, scale, size=shape)
+                           for name, shape in config.param_shapes()})
 
 
 def conv1d_forward(x, w, b):

@@ -8,7 +8,7 @@ sequences of length <= max_len is therefore exactly 1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,37 +28,22 @@ class LstmLmConfig:
 
     def __post_init__(self):
         if self.vocab_size < 3 or self.emb_dim < 1 or self.hidden_dim < 1 \
-                or self.num_layers < 1 or self.max_len < 2:
+                or self.num_layers < 1 or self.max_len < 2 or self.bos == self.eos \
+                or not (0 <= self.bos < self.vocab_size and 0 <= self.eos < self.vocab_size):
             raise ValueError("inconsistent LSTM LM dimensions")
 
-
-@dataclass
-class LstmLmParams:
-    config: LstmLmConfig
-    tensors: dict[str, np.ndarray] = field(repr=False)
-
-    def zeros_like(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.tensors.items()}
-
-
-def param_shapes(cfg: LstmLmConfig) -> dict[str, tuple]:
-    e, d = cfg.emb_dim, cfg.hidden_dim
-    shapes: dict[str, tuple] = {"emb": (cfg.vocab_size, e)}
-    for i in range(1, cfg.num_layers + 1):
-        cin = e if i == 1 else d
-        shapes[f"lstm{i}_w"] = (cin + d, 4 * d)
-        shapes[f"lstm{i}_b"] = (4 * d,)
-    shapes["out_w"] = (d, cfg.vocab_size)
-    shapes["out_b"] = (cfg.vocab_size,)
-    return shapes
+    def param_shapes(self):
+        """(name, shape) of every tensor, in initialization order."""
+        e, d = self.emb_dim, self.hidden_dim
+        yield "emb", (self.vocab_size, e)
+        for i in range(1, self.num_layers + 1):
+            yield f"lstm{i}_w", ((e if i == 1 else d) + d, 4 * d)
+            yield f"lstm{i}_b", (4 * d,)
+        yield "out_w", (d, self.vocab_size)
+        yield "out_b", (self.vocab_size,)
 
 
-def init_lstm_lm_params(cfg: LstmLmConfig, seed: int = 0,
-                        scale: float = 0.1) -> LstmLmParams:
-    rng = np.random.default_rng(seed) if isinstance(seed, int) else seed
-    tensors = {name: layers.uniform_init(rng, shape, scale)
-               for name, shape in param_shapes(cfg).items()}
-    return LstmLmParams(cfg, tensors)
+init_lstm_lm_params = layers.init_params
 
 
 def _check_batch(cfg: LstmLmConfig, ids: np.ndarray) -> None:
@@ -71,7 +56,7 @@ def _check_batch(cfg: LstmLmConfig, ids: np.ndarray) -> None:
         raise ValueError("boundary symbol inside payload")
 
 
-def _forward(params: LstmLmParams, ids: np.ndarray):
+def _forward(params: layers.Params, ids: np.ndarray):
     cfg = params.config
     t = params.tensors
     inputs = ids[:, :-1]
@@ -100,14 +85,14 @@ def _gather_logprobs(cfg: LstmLmConfig, ids, logits, lse) -> np.ndarray:
     return lp.sum(axis=1)
 
 
-def lstm_lm_logprob_batch(params: LstmLmParams, ids) -> np.ndarray:
+def lstm_lm_logprob_batch(params: layers.Params, ids) -> np.ndarray:
     ids = np.asarray(ids, dtype=np.int64)
     _check_batch(params.config, ids)
     _, _, logits, lse = _forward(params, ids)
     return _gather_logprobs(params.config, ids, logits, lse)
 
 
-def lstm_lm_loss_grads(params: LstmLmParams, batch) -> tuple[float, dict]:
+def lstm_lm_loss_grads(params: layers.Params, batch) -> tuple[float, dict]:
     """Mean per-sequence negative log-probability and its parameter gradient."""
     cfg = params.config
     t = params.tensors
@@ -148,9 +133,9 @@ def _last_h(cache):
     return go * tc
 
 
-def lstm_lm_train_step(params: LstmLmParams, batch, lr: float) -> tuple[LstmLmParams, float]:
+def lstm_lm_train_step(params: layers.Params, batch, lr: float) -> tuple[layers.Params, float]:
     """One SGD step on the mean NLL of the batch; returns new params and the
     NLL measured before the update."""
     nll, grads = lstm_lm_loss_grads(params, batch)
     tensors = {k: v - lr * grads[k] for k, v in params.tensors.items()}
-    return LstmLmParams(params.config, tensors), nll
+    return layers.Params(params.config, tensors), nll

@@ -14,7 +14,7 @@ both be disabled, in which case embeddings feed the BLSTM directly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,54 +39,28 @@ class PotentialConfig:
             raise ValueError("a spliced convolution bank needs at least one "
                              "stacked convolution to project back to emb_dim")
 
-    def stack_channel_plan(self) -> list[tuple[int, int]]:
-        """(in, out) channels per stacked convolution."""
-        s, f, e = self.stack_layers, self.bank_channels, self.emb_dim
-        first_in = self.bank_width * f if self.bank_width > 0 else e
-        plan = []
-        for i in range(s):
-            cin = first_in if i == 0 else f
-            cout = e if i == s - 1 else f
-            plan.append((cin, cout))
-        return plan
+    def param_shapes(self):
+        """(name, shape) of every tensor, in initialization order."""
+        e, d, f = self.emb_dim, self.hidden_dim, self.bank_channels
+        yield "emb", (self.vocab_size, e)
+        for k in range(1, self.bank_width + 1):
+            yield f"bank{k}_w", (k, e, f)
+            yield f"bank{k}_b", (f,)
+        cin = self.bank_width * f if self.bank_width > 0 else e
+        for i in range(1, self.stack_layers + 1):
+            cout = e if i == self.stack_layers else f
+            yield f"stack{i}_w", (3, cin, cout)
+            yield f"stack{i}_b", (cout,)
+            cin = cout
+        for direction in ("fw", "bw"):
+            yield f"lstm_{direction}_w", (e + d, 4 * d)
+            yield f"lstm_{direction}_b", (4 * d,)
+        yield "att_beta", (2 * d,)
+        yield "att_lambda", (2 * d,)
+        yield "bias", ()
 
 
-@dataclass
-class PotentialParams:
-    """All trainable weights of the potential network, as named tensors."""
-
-    config: PotentialConfig
-    tensors: dict[str, np.ndarray] = field(repr=False)
-
-    def zeros_like(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.tensors.items()}
-
-
-def param_shapes(cfg: PotentialConfig) -> dict[str, tuple]:
-    e, d = cfg.emb_dim, cfg.hidden_dim
-    shapes: dict[str, tuple] = {"emb": (cfg.vocab_size, e)}
-    for k in range(1, cfg.bank_width + 1):
-        shapes[f"bank{k}_w"] = (k, e, cfg.bank_channels)
-        shapes[f"bank{k}_b"] = (cfg.bank_channels,)
-    for i, (cin, cout) in enumerate(cfg.stack_channel_plan(), start=1):
-        shapes[f"stack{i}_w"] = (3, cin, cout)
-        shapes[f"stack{i}_b"] = (cout,)
-    for direction in ("fw", "bw"):
-        shapes[f"lstm_{direction}_w"] = (e + d, 4 * d)
-        shapes[f"lstm_{direction}_b"] = (4 * d,)
-    shapes["att_beta"] = (2 * d,)
-    shapes["att_lambda"] = (2 * d,)
-    shapes["bias"] = ()
-    return shapes
-
-
-def init_potential_params(cfg: PotentialConfig, seed: int = 0,
-                          scale: float = 0.1) -> PotentialParams:
-    """All tensors drawn uniformly from [-scale, scale]."""
-    rng = np.random.default_rng(seed) if isinstance(seed, int) else seed
-    tensors = {name: layers.uniform_init(rng, shape, scale)
-               for name, shape in param_shapes(cfg).items()}
-    return PotentialParams(cfg, tensors)
+init_potential_params = layers.init_params
 
 
 def _check_ids(cfg: PotentialConfig, ids: np.ndarray) -> np.ndarray:
@@ -98,7 +72,7 @@ def _check_ids(cfg: PotentialConfig, ids: np.ndarray) -> np.ndarray:
     return ids
 
 
-def potential_phi_batch(params: PotentialParams, ids) -> tuple[np.ndarray, dict]:
+def potential_phi_batch(params: layers.Params, ids) -> tuple[np.ndarray, dict]:
     """phi for a batch of same-length sequences; returns ((N,) scores, cache)."""
     cfg = params.config
     t = params.tensors
@@ -140,7 +114,7 @@ def potential_phi_batch(params: PotentialParams, ids) -> tuple[np.ndarray, dict]
     return phi, cache
 
 
-def potential_backward_batch(params: PotentialParams, cache: dict,
+def potential_backward_batch(params: layers.Params, cache: dict,
                              scales) -> dict[str, np.ndarray]:
     """Accumulated gradient sum_n scales[n] * d phi_n / d theta."""
     cfg = params.config
@@ -188,7 +162,7 @@ def potential_backward_batch(params: PotentialParams, cache: dict,
 class NeuralPotential:
     """Potential-function handle: the parameters plus batched scoring."""
 
-    def __init__(self, params: PotentialParams):
+    def __init__(self, params: layers.Params):
         self.params = params
 
     @property

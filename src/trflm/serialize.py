@@ -2,67 +2,104 @@
 
 Everything is versioned JSON with full-precision decimal floats (shortest
 round-tripping repr, which json uses natively), so saved models reload
-bit-exactly.
+bit-exactly. Every reader checks what it reads and names a malformed file.
 """
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import os
 
 import numpy as np
 
-from .corpus import LengthPrior
+from .corpus import LengthPrior, Vocabulary, load_vocabulary
 from .ngram import load_ngram
-from .seqnet.lstmlm import LstmLmConfig, LstmLmParams
-from .seqnet.potential import NeuralPotential, PotentialConfig, PotentialParams
+from .seqnet.layers import Params
+from .seqnet.lstmlm import LstmLmConfig
+from .seqnet.potential import NeuralPotential, PotentialConfig
 from .trf import LstmReference, NgramReference, TrfModel, UniformReference
-from .util import atomic_write_text, read_json
+from .util import atomic_write_text, parse_json_file
 
 FORMAT_VERSION = 1
 
 
-def _tensors_doc(tensors: dict[str, np.ndarray]) -> dict:
-    return {name: {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
-            for name, arr in tensors.items()}
-
-
-def _tensors_from_doc(doc: dict) -> dict[str, np.ndarray]:
-    return {name: np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-            for name, entry in doc.items()}
-
-
-def save_potential(params: PotentialParams, path) -> None:
+def _save_params(params: Params, path, fmt: str) -> None:
     doc = {
-        "format": "trflm-potential",
+        "format": fmt,
         "version": FORMAT_VERSION,
         "config": params.config.__dict__,
-        "tensors": _tensors_doc(params.tensors),
+        "tensors": {name: {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
+                    for name, arr in params.tensors.items()},
     }
     atomic_write_text(path, json.dumps(doc))
 
 
-def load_potential(path) -> PotentialParams:
-    doc = read_json(path, "potential parameter file")
-    if doc.get("format") != "trflm-potential" or doc.get("version") != FORMAT_VERSION:
-        raise ValueError(f"not a readable potential parameter file: {path}")
-    return PotentialParams(PotentialConfig(**doc["config"]), _tensors_from_doc(doc["tensors"]))
+def _finite_vector(value, what: str) -> np.ndarray:
+    """value as a float64 vector, if it is a list of finite numbers."""
+    arr = np.array(value if isinstance(value, list) else None)
+    if arr.dtype.kind not in "iuf" or arr.ndim != 1 or not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} must be a list of finite numbers")
+    return arr.astype(np.float64, copy=False)
 
 
-def save_lstm_lm(params: LstmLmParams, path) -> None:
-    doc = {
-        "format": "trflm-lstm-lm",
-        "version": FORMAT_VERSION,
-        "config": params.config.__dict__,
-        "tensors": _tensors_doc(params.tensors),
-    }
-    atomic_write_text(path, json.dumps(doc))
+def _params_from_doc(doc, fmt: str, config_class) -> Params:
+    """The parameters of a _save_params document, checked against their config."""
+    if not isinstance(doc, dict) or doc.get("format") != fmt \
+            or doc.get("version") != FORMAT_VERSION:
+        raise ValueError(f"not a {fmt} file of version {FORMAT_VERSION}")
+    raw = doc.get("config")
+    if not isinstance(raw, dict) or not all(type(v) is int for v in raw.values()):
+        raise ValueError("'config' must map names to integers")
+    try:
+        config = config_class(**raw)
+    except TypeError as exc:
+        raise ValueError(f"bad config: {exc}") from None
+    entries = doc.get("tensors")
+    if not isinstance(entries, dict):
+        raise ValueError("'tensors' must be an object")
+    # one shape past the entries at most, however many layers the config asks for
+    shapes = dict(itertools.islice(config.param_shapes(), len(entries) + 1))
+    if shapes.keys() != entries.keys():
+        raise ValueError(f"missing tensors {sorted(shapes.keys() - entries.keys())}, "
+                         f"unexpected {sorted(entries.keys() - shapes.keys())}")
+    tensors = {}
+    for name, shape in shapes.items():
+        entry = entries[name] if isinstance(entries[name], dict) else {}
+        data = _finite_vector(entry.get("data"), f"the data of tensor {name!r}")
+        if entry.get("shape") != list(shape) or data.size != math.prod(shape):
+            raise ValueError(f"tensor {name!r} must have shape {list(shape)} and that many values")
+        tensors[name] = data.reshape(shape)
+    return Params(config, tensors)
 
 
-def load_lstm_lm(path) -> LstmLmParams:
-    doc = read_json(path, "LSTM LM parameter file")
-    if doc.get("format") != "trflm-lstm-lm" or doc.get("version") != FORMAT_VERSION:
-        raise ValueError(f"not a readable LSTM LM parameter file: {path}")
-    return LstmLmParams(LstmLmConfig(**doc["config"]), _tensors_from_doc(doc["tensors"]))
+def save_potential(params: Params, path) -> None:
+    _save_params(params, path, "trflm-potential")
+
+
+def load_potential(path) -> Params:
+    return parse_json_file(path, "potential parameter file",
+                           lambda doc: _params_from_doc(doc, "trflm-potential", PotentialConfig))
+
+
+def save_lstm_lm(params: Params, path) -> None:
+    _save_params(params, path, "trflm-lstm-lm")
+
+
+def load_lstm_lm(path) -> Params:
+    return parse_json_file(path, "LSTM LM parameter file",
+                           lambda doc: _params_from_doc(doc, "trflm-lstm-lm", LstmLmConfig))
+
+
+def load_model_file(kind: str, path, vocab: Vocabulary):
+    """The parameters of a potential or LSTM LM, or the n-gram model, in path (kind
+    "potential", "lstm" or "ngram"), checked against the vocabulary they score."""
+    model = {"potential": load_potential, "ngram": load_ngram, "lstm": load_lstm_lm}[kind](path)
+    size = model.vocab_size if kind == "ngram" else model.config.vocab_size
+    if size != vocab.size:
+        raise ValueError(f"{path} was built for a {size}-symbol vocabulary, "
+                         f"but the vocabulary has {vocab.size}")
+    return model
 
 
 def save_trf_bundle(model: TrfModel, path, potential_file: str,
@@ -84,46 +121,35 @@ def save_trf_bundle(model: TrfModel, path, potential_file: str,
     atomic_write_text(path, json.dumps(doc, indent=1))
 
 
-def load_trf_bundle(path) -> TrfModel:
-    """Loads and cross-checks a bundle; a malformed one raises ValueError
-    naming it."""
-    from .corpus import load_vocabulary
-    doc = read_json(path, "model bundle")
+def _bundle_from_doc(doc, base: str) -> TrfModel:
     if not isinstance(doc, dict) or doc.get("format") != "trflm-bundle" \
             or doc.get("version") != FORMAT_VERSION:
-        raise ValueError(f"not a readable model bundle: {path}")
-    missing = [k for k in ("potential_file", "vocab_file", "zeta", "pi", "reference")
-               if k not in doc]
-    if missing:
-        raise ValueError(f"model bundle {path} lacks {', '.join(map(repr, missing))}")
-    base = os.path.dirname(os.path.abspath(path))
+        raise ValueError(f"not a trflm-bundle file of version {FORMAT_VERSION}")
+    ref = doc.get("reference") if isinstance(doc.get("reference"), dict) else {}
 
-    def resolve(p):
+    def resolve(where: dict, key: str) -> str:
+        p = where.get(key)
+        if not isinstance(p, str):
+            raise ValueError(f"{key!r} must be a file name")
         return p if os.path.isabs(p) else os.path.join(base, p)
 
-    vocab = load_vocabulary(resolve(doc["vocab_file"]))
-
-    def check_vocab_size(what, size):
-        if size != vocab.size:
-            raise ValueError(f"model bundle {path}: the {what} was built for a {size}-symbol "
-                             f"vocabulary, but {doc['vocab_file']} has {vocab.size}")
-
-    potential = NeuralPotential(load_potential(resolve(doc["potential_file"])))
-    check_vocab_size("potential", potential.config.vocab_size)
-    kind = doc["reference"].get("kind")
-    ref_file = doc["reference"].get("file")
+    vocab = load_vocabulary(resolve(doc, "vocab_file"))
+    potential = load_model_file("potential", resolve(doc, "potential_file"), vocab)
+    kind = ref.get("kind")
     if kind == "uniform":
         reference = UniformReference(len(vocab.payload_ids))
-    elif kind == "ngram":
-        reference = NgramReference(load_ngram(resolve(ref_file)))
-        check_vocab_size("n-gram reference", reference.model.vocab_size)
-    elif kind == "lstm":
-        reference = LstmReference(load_lstm_lm(resolve(ref_file)))
-        check_vocab_size("LSTM reference", reference.params.config.vocab_size)
+    elif kind in ("ngram", "lstm"):
+        model = load_model_file(kind, resolve(ref, "file"), vocab)
+        reference = NgramReference(model) if kind == "ngram" else LstmReference(model)
     else:
-        raise ValueError(f"model bundle {path}: unknown reference kind {kind!r}")
-    try:
-        return TrfModel(potential, np.array(doc["zeta"]), LengthPrior(np.array(doc["pi"])),
-                        reference, vocab, doc.get("level", "word"))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"model bundle {path}: {exc}") from None
+        raise ValueError(f"'reference' must name a known kind, not {kind!r}")
+    return TrfModel(NeuralPotential(potential), _finite_vector(doc.get("zeta"), "'zeta'"),
+                    LengthPrior(_finite_vector(doc.get("pi"), "'pi'")), reference, vocab,
+                    doc.get("level", "word"))
+
+
+def load_trf_bundle(path) -> TrfModel:
+    """Loads a bundle and cross-checks it and the files it names; a malformed
+    one raises ValueError naming it."""
+    base = os.path.dirname(os.path.abspath(path))
+    return parse_json_file(path, "model bundle", lambda doc: _bundle_from_doc(doc, base))

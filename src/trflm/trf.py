@@ -24,7 +24,7 @@ import numpy as np
 
 from .corpus import LengthPrior, Sequence, Vocabulary, group_by_length, stack_ids
 from . import ngram as ngram_mod
-from .seqnet import lstmlm
+from .seqnet import Params, lstmlm
 from .util import logsumexp
 
 DEFAULT_ENUM_BUDGET = 10_000_000
@@ -66,7 +66,7 @@ class LstmReference:
     kind = "lstm"
     per_length_normalized = False
 
-    def __init__(self, params: lstmlm.LstmLmParams):
+    def __init__(self, params: Params):
         self.params = params
 
     def log_q_batch(self, ids: np.ndarray) -> np.ndarray:

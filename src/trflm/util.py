@@ -45,14 +45,17 @@ def atomic_write_text(path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def read_json(path, what: str):
-    """The JSON document in path; a file that is not JSON raises ValueError
-    naming it as `what`."""
+def parse_json_file(path, what: str, parse):
+    """parse(the JSON document in path); a ValueError or OSError names the file as `what`."""
     with open(path, encoding="utf-8") as f:
         try:
-            return json.load(f)
-        except json.JSONDecodeError as exc:
+            doc = json.load(f)
+        except ValueError as exc:   # not JSON, or not UTF-8
             raise ValueError(f"{what} {path} is not JSON: {exc}") from None
+    try:
+        return parse(doc)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{what} {path}: {exc}") from None
 
 
 def fmt(x) -> str:

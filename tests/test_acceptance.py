@@ -57,7 +57,7 @@ from trflm.seqnet import (LstmLmConfig, NeuralPotential, PotentialConfig,
                           init_lstm_lm_params, init_potential_params,
                           lstm_lm_train_step)
 from trflm.trf import (LstmReference, TrfModel, UniformReference, exact_zeta,
-                       total_mass)
+                       total_mass, zeta_init_vector)
 from trflm.util import derive_rng
 
 
@@ -121,10 +121,10 @@ def train_arm(pilot_setting, nu, order, seed, epochs=20):
     nd = NoiseDistribution(prior, base)
     params = init_potential_params(PotentialConfig(vocab.size, 16, 0, 0, 0, 16),
                                    derive_rng(seed, "init"))
-    model = TrfModel(NeuralPotential(params), np.zeros(5), prior,
+    model = TrfModel(NeuralPotential(params), zeta_init_vector("linear", 5, vocab.size), prior,
                      UniformReference(len(vocab.payload_ids)), vocab)
     cfg = NceConfig(nu=nu, batch_size=10, epochs=epochs, lr_theta=1e-3, lr_zeta=1e-2,
-                    zeta_init="linear", seed=seed)
+                    seed=seed)
     result = train(model, nd, data, cfg, valid=valid, oracle_metrics=True)
     return [e.valid_nll for e in result.epochs], result.epochs[-1].zeta_gaps
 
@@ -297,9 +297,9 @@ def test_criterion_7_rescoring_combination(pilot_setting):
     nd = NoiseDistribution(prior, ngram_mod.train_ngram(data, 2, vocab))
     params = init_potential_params(PotentialConfig(vocab.size, 16, 0, 0, 0, 16),
                                    derive_rng(0, "init"))
-    trf = TrfModel(NeuralPotential(params), np.zeros(5), prior, LstmReference(lm), vocab)
-    train(trf, nd, data, NceConfig(nu=10, batch_size=10, epochs=10,
-                                   zeta_init="zeros", seed=0))
+    trf = TrfModel(NeuralPotential(params), zeta_init_vector("zeros", 5, vocab.size), prior,
+                   LstmReference(lm), vocab)
+    train(trf, nd, data, NceConfig(nu=10, batch_size=10, epochs=10, seed=0))
 
     members = [evalkit.NgramScorer(kn5, vocab, "char"),
                evalkit.LstmScorer(lm, vocab, "char"),

@@ -93,6 +93,18 @@ def test_config_type_errors_name_key():
         cfg.get("training", "oracle_metrics")
 
 
+@pytest.mark.parametrize("text", ["[corpus\ntrain = t.txt\n", "[ngram]\norder = 2\n[ngram]\n",
+                                  "[ngram]\norder\n"])
+def test_malformed_config_text_is_one_config_error(tmp_path, monkeypatch, capsys, text):
+    monkeypatch.chdir(tmp_path)
+    with open("bad.ini", "w") as f:
+        f.write(text)
+    assert main(["train-ngram", "-c", "bad.ini"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "'bad.ini'" in err
+
+
 def test_config_roundtrip_idempotent():
     cfg = parse_config_text(MICRO_CONFIG)
     once = cfg.dump()
@@ -431,7 +443,8 @@ def test_rescore_rejects_malformed_weights(micro, capsys):
 
 @pytest.fixture(scope="module")
 def trained_micro(tmp_path_factory):
-    """A directory holding the micro corpus and the TRF trained on it."""
+    """A directory holding the micro corpus and the TRF, n-gram and LSTM LM
+    trained on it."""
     d = tmp_path_factory.mktemp("trained")
     cwd = os.getcwd()
     os.chdir(d)
@@ -441,7 +454,8 @@ def trained_micro(tmp_path_factory):
             f.write("an\nat\non\nno\nton\nnot\ntan\nant\na\nto\noat\nnan\n")
         with open("micro.ini", "w") as f:
             f.write(MICRO_CONFIG.replace("valid = micro/valid.txt\n", ""))
-        assert main(["train-trf", "-c", "micro.ini"]) == 0
+        for command in ("train-trf", "train-ngram", "train-lstm"):
+            assert main([command, "-c", "micro.ini"]) == 0
     finally:
         os.chdir(cwd)
     return d / "micro" / "out"
@@ -521,3 +535,74 @@ def test_rescore_rejects_trf_member_of_another_level(trained_micro, tmp_path, mo
     err = capsys.readouterr().err
     assert err.startswith("config error: member ") and err.count("\n") == 1
     assert "level 'char'" in err and "level is 'word'" in err
+
+
+def test_rescore_vocabulary_error_names_the_file(trained_micro, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    symbols = (trained_micro / "vocab.txt").read_text()
+    (tmp_path / "vocab.txt").write_text(symbols + symbols.splitlines()[-1] + "\n")
+    argv = write_rescore_inputs("vocab.txt", f"ngram:{trained_micro / 'ngram.json'}")
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (f"error: vocabulary file {tmp_path / 'vocab.txt'}: "
+                                       "duplicate symbols in vocabulary\n")
+
+
+def faulty_model_file(kind, fault, doc):
+    """A potential or LSTM LM parameter document with one fault, or the whole
+    document of a faulty n-gram file."""
+    if kind == "ngram":
+        return {"list": [1], "no_tables": {"format": "trflm-ngram", "version": 1},
+                "empty": {}}[fault]
+    emb = doc["tensors"]["emb"]
+    if fault == "missing_tensor":
+        del doc["tensors"]["emb"]
+    elif fault == "wrong_shape":   # one row short, with the data to match
+        emb["shape"][0] -= 1
+        del emb["data"][-emb["shape"][1]:]
+    elif fault == "config_key":
+        doc["config"]["frobnicate"] = 1
+    elif fault == "tensors_not_object":
+        doc["tensors"] = list(doc["tensors"])
+    else:
+        emb["data"][0] = float("nan")
+    return doc
+
+
+TENSOR_FILE_FAULTS = ["missing_tensor", "wrong_shape", "config_key", "tensors_not_object", "nan"]
+
+
+@pytest.mark.parametrize("command", ["enumerate-z", "rescore"])
+@pytest.mark.parametrize("kind,fault", [(kind, fault) for kind in ("potential", "lstm")
+                                        for fault in TENSOR_FILE_FAULTS]
+                         + [("ngram", fault) for fault in ("list", "no_tables", "empty")])
+def test_malformed_model_file_is_one_error_line(trained_micro, tmp_path, monkeypatch, capsys,
+                                                command, kind, fault):
+    # enumerate-z reads the bad file through a bundle, as its potential or
+    # reference; rescore reads it as a member, or through a trf member's bundle
+    monkeypatch.chdir(tmp_path)
+    with open(trained_micro / f"{kind}.json") as f:
+        doc = faulty_model_file(kind, fault, json.load(f))
+    with open("bad.json", "w") as f:
+        json.dump(doc, f)
+    with open(trained_micro / "trf.json") as f:
+        bundle = json.load(f)
+    bundle["vocab_file"] = str(trained_micro / "vocab.txt")
+    bundle["potential_file"] = str(trained_micro / "potential.json")
+    if kind == "potential":
+        bundle["potential_file"] = "bad.json"
+    else:
+        bundle["reference"] = {"kind": kind, "file": "bad.json"}
+    with open("bundle.json", "w") as f:
+        json.dump(bundle, f)
+    if command == "enumerate-z":
+        argv = ["enumerate-z", "--model", "bundle.json"]
+    else:
+        member = "trf:bundle.json" if kind == "potential" else f"{kind}:bad.json"
+        argv = write_rescore_inputs(trained_micro / "vocab.txt", member)
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(tmp_path / "bad.json") in captured.err
+    assert captured.out == ""

@@ -11,7 +11,7 @@ from trflm.nce import (Adam, NceConfig, Sgd, classification_weights,
 from trflm.ngram import train_ngram
 from trflm.noise import NoiseBatch, NoiseDistribution, draw_noise_batch, noise_logprob
 from trflm.seqnet import NeuralPotential, PotentialConfig, init_potential_params
-from trflm.trf import NgramReference, TrfModel, UniformReference, log_joint
+from trflm.trf import NgramReference, TrfModel, UniformReference, log_joint, zeta_init_vector
 
 
 @pytest.fixture
@@ -174,8 +174,9 @@ def test_last_epoch_gaps_match_zeta_gap(setting):
     vocab, pi, nd, data = setting
     params = init_potential_params(PotentialConfig(vocab_size=vocab.size, emb_dim=3,
                                                    hidden_dim=3), 42)
-    model = TrfModel(NeuralPotential(params), np.zeros(4), pi, UniformReference(3), vocab)
-    cfg = NceConfig(nu=2, batch_size=2, epochs=2, zeta_init="zeros")
+    model = TrfModel(NeuralPotential(params), zeta_init_vector("zeros", 4, vocab.size), pi,
+                     UniformReference(3), vocab)
+    cfg = NceConfig(nu=2, batch_size=2, epochs=2)
     result = train(model, nd, [s for s in data if len(s) > 2], cfg, oracle_metrics=True)
     gaps, gap_sq = zeta_gap(model)
     assert result.epochs[-1].zeta_gaps == gaps
@@ -228,8 +229,9 @@ def run_training(setting, seed=0, epochs=3, zeta_init="zeros"):
     vocab, pi, nd, data = setting
     params = init_potential_params(PotentialConfig(vocab_size=vocab.size, emb_dim=3,
                                                    hidden_dim=3), 42)
-    model = TrfModel(NeuralPotential(params), np.zeros(4), pi, UniformReference(3), vocab)
-    cfg = NceConfig(nu=2, batch_size=2, epochs=epochs, seed=seed, zeta_init=zeta_init)
+    model = TrfModel(NeuralPotential(params), zeta_init_vector(zeta_init, 4, vocab.size), pi,
+                     UniformReference(3), vocab)
+    cfg = NceConfig(nu=2, batch_size=2, epochs=epochs, seed=seed)
     steps, epochs_log = io.StringIO(), io.StringIO()
     train(model, nd, [s for s in data if len(s) > 2], cfg,
           oracle_metrics=True, step_log=steps, epoch_log=epochs_log)
@@ -276,8 +278,9 @@ def test_nonfinite_gradient_aborts_with_diagnostic(setting):
     params = init_potential_params(PotentialConfig(vocab_size=vocab.size, emb_dim=3,
                                                    hidden_dim=3), 1)
     params.tensors["att_beta"][0] = np.inf
-    model = TrfModel(NeuralPotential(params), np.zeros(4), pi, UniformReference(3), vocab)
-    cfg = NceConfig(nu=1, batch_size=2, epochs=1, zeta_init="zeros")
+    model = TrfModel(NeuralPotential(params), zeta_init_vector("zeros", 4, vocab.size), pi,
+                     UniformReference(3), vocab)
+    cfg = NceConfig(nu=1, batch_size=2, epochs=1)
     with pytest.raises(RuntimeError, match="step 0"):
         train(model, nd, [s for s in data if len(s) > 2], cfg)
 

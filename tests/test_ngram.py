@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from trflm.corpus import Sequence, Vocabulary, build_vocabulary, encode
-from trflm.ngram import (export_arpa, load_ngram, logprob_conditional,
+from trflm.ngram import (export_arpa, load_ngram,
                          logprob_fixed_length, logprob_sentence,
                          payload_conditional_dist, sample_fixed_length,
                          save_ngram, train_ngram)
@@ -103,7 +103,7 @@ def test_conditional_matches_hand_expanded_formula(tiny_vocab, toy_corpus, order
         ctx = tuple(rng.integers(0, tiny_vocab.size, size=rng.integers(0, order)).tolist())
         w = int(rng.integers(0, tiny_vocab.size))
         expect = oracle_prob(tables, discounts, tiny_vocab.size, ctx, w)
-        got = math.exp(logprob_conditional(model, ctx, w))
+        got = math.exp(np.log(model.conditional_dist(ctx)[w]))
         assert got == pytest.approx(expect, rel=1e-12)
 
 
@@ -118,7 +118,7 @@ def test_backoff_to_unigram(tiny_vocab, toy_corpus):
 
 def test_conditional_in_unit_interval(tiny_vocab, toy_corpus):
     model = train_ngram(toy_corpus, 2, tiny_vocab)
-    p = math.exp(logprob_conditional(model, (tiny_vocab.bos,), tiny_vocab.id_of("a")))
+    p = math.exp(np.log(model.conditional_dist((tiny_vocab.bos,))[tiny_vocab.id_of("a")]))
     assert 0.0 < p <= 1.0
 
 
@@ -218,9 +218,9 @@ def test_sentence_logprob_sums_conditionals(tiny_vocab, toy_corpus):
     model = train_ngram(toy_corpus, 2, tiny_vocab)
     seq = encode("ab", tiny_vocab, level="char")
     a, b = tiny_vocab.id_of("a"), tiny_vocab.id_of("b")
-    expect = (logprob_conditional(model, (tiny_vocab.bos,), a)
-              + logprob_conditional(model, (a,), b)
-              + logprob_conditional(model, (b,), tiny_vocab.eos))
+    expect = (np.log(model.conditional_dist((tiny_vocab.bos,))[a])
+              + np.log(model.conditional_dist((a,))[b])
+              + np.log(model.conditional_dist((b,))[tiny_vocab.eos]))
     assert logprob_sentence(model, seq) == pytest.approx(expect, rel=1e-12)
 
 
@@ -233,7 +233,7 @@ def test_serialization_roundtrip(tmp_path, tiny_vocab, toy_corpus):
     for _ in range(30):
         ctx = tuple(rng.integers(0, tiny_vocab.size, size=rng.integers(0, 3)).tolist())
         w = int(rng.integers(0, tiny_vocab.size))
-        assert logprob_conditional(clone, ctx, w) == logprob_conditional(model, ctx, w)
+        assert np.log(clone.conditional_dist(ctx)[w]) == np.log(model.conditional_dist(ctx)[w])
 
 
 def test_serialization_rejects_garbage(tmp_path):
@@ -284,5 +284,5 @@ def test_arpa_export_reconstructs_model(tmp_path, tiny_vocab, toy_corpus):
         w = int(rng.integers(0, tiny_vocab.size))
         toks = tuple(tiny_vocab.symbol_of(i) for i in ctx)
         wtok = tiny_vocab.symbol_of(w)
-        expect = logprob_conditional(model, ctx, w) / math.log(10)
+        expect = np.log(model.conditional_dist(ctx)[w]) / math.log(10)
         assert arpa_prob(grams, toks, wtok) == pytest.approx(expect, abs=1e-9)

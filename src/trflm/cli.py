@@ -24,9 +24,10 @@ from .noise import NoiseDistribution
 from .seqnet import (LstmLmConfig, PotentialConfig, NeuralPotential,
                      init_lstm_lm_params, init_potential_params,
                      lstm_lm_logprob_batch, lstm_lm_train_step)
-from .trf import (LstmReference, NgramReference, TrfModel, UniformReference,
-                  exact_zeta, nll as trf_nll, zeta_init_vector)
-from .util import atomic_write_text, derive_rng, fmt
+from .trf import (DEFAULT_ENUM_BUDGET, LstmReference, NgramReference, TrfModel,
+                  UniformReference, exact_zeta, nll as trf_nll, with_exact_zeta,
+                  zeta_init_vector)
+from .util import atomic_write_text, derive_rng, fmt, read_text
 
 
 class ConfigError(Exception):
@@ -53,7 +54,7 @@ SCHEMA = {
         "optimizer": (str, "adam"), "optimizer_zeta": (str, None),
         "lr_theta": (float, 1e-3), "lr_zeta": (float, 1e-2),
         "schedule": (str, "fixed"), "seed": (int, 0),
-        "oracle_metrics": (bool, False), "oracle_budget": (int, 10_000_000),
+        "oracle_metrics": (bool, False), "oracle_budget": (int, DEFAULT_ENUM_BUDGET),
     },
     "lstm": {
         "emb_dim": (int, 16), "hidden_dim": (int, 16), "layers": (int, 1),
@@ -137,11 +138,11 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
 
 
 def load_config(path, check_paths: bool = True) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as f:
-        try:
-            cfg = parse_config_text(f.read(), base_dir=os.getcwd())
-        except configparser.Error as exc:   # on one line, naming the file, not '<string>'
-            raise ConfigError(" ".join(str(exc).replace("'<string>'", repr(str(path))).split()))
+    text = read_text(path, "config file")
+    try:
+        cfg = parse_config_text(text, base_dir=os.getcwd())
+    except configparser.Error as exc:   # on one line, naming the file, not '<string>'
+        raise ConfigError(" ".join(str(exc).replace("'<string>'", repr(str(path))).split()))
     if check_paths:
         for section, key in PATH_KEYS:
             if section in cfg.raw and key in cfg.raw[section]:
@@ -202,8 +203,8 @@ def split_pilot(words, valid_every: int = 13, offset: int = 6):
 
 def cmd_make_pilot(args) -> int:
     if args.words:
-        with open(args.words, encoding="utf-8") as f:
-            raw = [w.strip().lower() for w in f if w.strip()]
+        raw = [w.strip().lower() for w in read_text(args.words, "word list").split("\n")
+               if w.strip()]
     else:
         raw = builtin_pilot_words()
     seen = set()
@@ -268,9 +269,8 @@ def cmd_train_lstm(args) -> int:
             losses.append(nll_step)
         valid_nll = ""
         if valid:
-            vals = [float(-lstm_lm_logprob_batch(params, corpus_mod.stack_ids(
-                [valid[i] for i in idx])).sum()) for _, idx in
-                corpus_mod.group_by_length(valid).items()]
+            vals = [float(-lstm_lm_logprob_batch(params, ids).sum())
+                    for _, ids in corpus_mod.length_buckets(valid)]
             valid_nll = fmt(sum(vals) / len(valid))
         rows.append(f"{epoch},{fmt(float(np.mean(losses)))},{valid_nll}")
     atomic_write_text(os.path.join(out, "metrics_epochs.csv"), "\n".join(rows) + "\n")
@@ -341,16 +341,16 @@ def cmd_eval(args) -> int:
     model = serialize.load_trf_bundle(args.model)
     lines = corpus_mod.read_corpus(args.data)
     data = corpus_mod.encode_corpus(lines, model.vocab, model.level, model.max_len)
-    source = "exact" if args.exact_z else "stored"
-    try:
-        value = trf_nll(model, data, source, args.budget)
-    except ValueError as exc:
-        if "budget" in str(exc):
+    if args.exact_z:
+        lengths = sorted({len(x) for x in data if model.length_prior.prob(len(x)) > 0})
+        try:
+            model = with_exact_zeta(model, lengths, args.budget)
+        except ValueError as exc:
             print(f"eval: {exc} (drop --exact-z to use the stored normalizers)",
                   file=sys.stderr)
             return 2
-        raise
-    print(f"eval: sentences={len(data)} zeta={source} nll={fmt(value)}")
+    print(f"eval: sentences={len(data)} zeta={'exact' if args.exact_z else 'stored'} "
+          f"nll={fmt(trf_nll(model, data))}")
     return 0
 
 
@@ -474,13 +474,13 @@ def main(argv=None) -> int:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--exact-z", action="store_true")
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("enumerate-z", help="brute-force log-normalizers")
     p.add_argument("--model", required=True)
     p.add_argument("--lengths", nargs="*")
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
     p.set_defaults(func=cmd_enumerate_z)
 
     p = sub.add_parser("rescore")

@@ -12,6 +12,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .util import atomic_write_text, read_text
+
 BOS = "<s>"
 EOS = "</s>"
 UNK = "<unk>"
@@ -140,15 +142,6 @@ def encode(line: str, vocab: Vocabulary, attach_boundaries: bool = True,
     return Sequence(tuple(ids))
 
 
-def decode(seq: Sequence, vocab: Vocabulary, level: str = "word",
-           strip_boundaries: bool = True) -> str:
-    ids = list(seq.ids)
-    if strip_boundaries:
-        ids = [i for i in ids if i not in (vocab.bos, vocab.eos)]
-    sep = " " if level == "word" else ""
-    return sep.join(vocab.symbol_of(i) for i in ids)
-
-
 def encode_corpus(lines, vocab: Vocabulary, level: str = "word",
                   max_len: int | None = None) -> list[Sequence]:
     return [encode(ln, vocab, True, level, max_len) for ln in lines]
@@ -168,13 +161,11 @@ def empirical_length_prior(dataset, m: int) -> LengthPrior:
 
 
 def read_corpus(path) -> list[str]:
-    with open(path, encoding="utf-8") as f:
-        return [ln.rstrip("\n") for ln in f if ln.strip()]
+    return [ln for ln in read_text(path, "corpus").split("\n") if ln.strip()]
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:
     """One token per line; the 3 reserved symbols head the file; id = line index."""
-    from .util import atomic_write_text
     atomic_write_text(path, "".join(s + "\n" for s in vocab.symbols))
 
 
@@ -186,14 +177,12 @@ def load_vocabulary(path) -> Vocabulary:
         raise ValueError(f"vocabulary file {path}: {exc}") from None
 
 
-def stack_ids(seqs) -> np.ndarray:
-    """Stack same-length sequences into an (N, l) int array."""
-    return np.array([s.ids for s in seqs], dtype=np.int64)
-
-
-def group_by_length(seqs) -> dict[int, list[int]]:
-    """Indices of seqs grouped by length, keys ascending."""
+def length_buckets(seqs):
+    """(row indices, (N, l) int64 ids) for each length l of seqs, ascending in
+    l, rows in input order."""
     groups: dict[int, list[int]] = {}
     for i, s in enumerate(seqs):
         groups.setdefault(len(s), []).append(i)
-    return dict(sorted(groups.items()))
+    for l in sorted(groups):
+        idx = groups[l]
+        yield idx, np.array([seqs[i].ids for i in idx], dtype=np.int64)

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ngram as ngram_mod
-from .corpus import Vocabulary, encode, group_by_length, stack_ids
+from .corpus import Vocabulary, encode, length_buckets
 from .seqnet import Params, lstmlm
 from .trf import TrfModel, log_joint_batch
-from .util import atomic_write_text, fmt
+from .util import atomic_write_text, fmt, read_text
 
 
 @dataclass(frozen=True)
@@ -43,33 +43,32 @@ def read_nbest_file(path) -> list[NBestList]:
     """Malformed lines raise ValueError naming the file and the line."""
     by_utt: dict[str, list[Hypothesis]] = {}
     order: list[str] = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, ln in enumerate(f, 1):
-            fields = ln.split()
-            if not fields:
-                continue
-            where = f"{path}:{lineno}"
-            if len(fields) < 3:
-                raise ValueError(f"{where}: expected '<utt-id> <rank> <acoustic-score|NA> "
-                                 f"<token ...>', got {ln.strip()!r}")
-            utt, rank, ac, *toks = fields
+    for lineno, ln in enumerate(read_text(path, "n-best file").split("\n"), 1):
+        fields = ln.split()
+        if not fields:
+            continue
+        where = f"{path}:{lineno}"
+        if len(fields) < 3:
+            raise ValueError(f"{where}: expected '<utt-id> <rank> <acoustic-score|NA> "
+                             f"<token ...>', got {ln.strip()!r}")
+        utt, rank, ac, *toks = fields
+        try:
+            rank = int(rank)
+        except ValueError:
+            raise ValueError(f"{where}: rank must be an integer, got {rank!r}") from None
+        acoustic = None
+        if ac != "NA":
             try:
-                rank = int(rank)
+                acoustic = float(ac)
             except ValueError:
-                raise ValueError(f"{where}: rank must be an integer, got {rank!r}") from None
-            acoustic = None
-            if ac != "NA":
-                try:
-                    acoustic = float(ac)
-                except ValueError:
-                    acoustic = np.nan
-                if not np.isfinite(acoustic):
-                    raise ValueError(f"{where}: acoustic score must be a finite number "
-                                     f"or NA, got {ac!r}")
-            if utt not in by_utt:
-                by_utt[utt] = []
-                order.append(utt)
-            by_utt[utt].append(Hypothesis(" ".join(toks), acoustic, rank))
+                acoustic = np.nan
+            if not np.isfinite(acoustic):
+                raise ValueError(f"{where}: acoustic score must be a finite number "
+                                 f"or NA, got {ac!r}")
+        if utt not in by_utt:
+            by_utt[utt] = []
+            order.append(utt)
+        by_utt[utt].append(Hypothesis(" ".join(toks), acoustic, rank))
     return [NBestList(u, tuple(sorted(by_utt[u], key=lambda h: h.rank)))
             for u in order]
 
@@ -77,16 +76,15 @@ def read_nbest_file(path) -> list[NBestList]:
 def read_refs_file(path) -> dict[str, str]:
     """Malformed lines raise ValueError naming the file and the line."""
     refs = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, ln in enumerate(f, 1):
-            if not ln.strip():
-                continue
-            utt, *toks = ln.split()
-            if not toks:
-                raise ValueError(f"{path}:{lineno}: reference {utt!r} has no tokens")
-            if utt in refs:
-                raise ValueError(f"{path}:{lineno}: reference {utt!r} is repeated")
-            refs[utt] = " ".join(toks)
+    for lineno, ln in enumerate(read_text(path, "reference file").split("\n"), 1):
+        if not ln.strip():
+            continue
+        utt, *toks = ln.split()
+        if not toks:
+            raise ValueError(f"{path}:{lineno}: reference {utt!r} has no tokens")
+        if utt in refs:
+            raise ValueError(f"{path}:{lineno}: reference {utt!r} is repeated")
+        refs[utt] = " ".join(toks)
     return refs
 
 
@@ -108,15 +106,17 @@ def write_refs_file(refs: dict, path) -> None:
 # A scorer maps texts to sentence log-probabilities in one batch:
 # logprob_batch(texts) -> (n,) float64 array.
 
-def _by_length(seqs, score) -> np.ndarray:
-    """score(ids) -> (N,) over each length bucket of seqs, in input order."""
-    out = np.empty(len(seqs))
-    for _, idx in group_by_length(seqs).items():
-        out[idx] = score(stack_ids([seqs[i] for i in idx]))
-    return out
-
-
 class _Scorer:
+    """Scores the texts' length buckets with self._score(ids) -> (N,), unless a
+    subclass overrides logprob_batch."""
+
+    def logprob_batch(self, texts) -> np.ndarray:
+        seqs = [encode(t, self.vocab, True, self.level) for t in texts]
+        out = np.empty(len(seqs))
+        for idx, ids in length_buckets(seqs):
+            out[idx] = self._score(ids)
+        return out
+
     def logprob(self, text: str) -> float:
         """One text through logprob_batch, for callers that score one text."""
         return float(self.logprob_batch([text])[0])
@@ -148,9 +148,6 @@ class LstmScorer(_Scorer):
             return np.full(ids.shape[0], -np.inf)
         return lstmlm.lstm_lm_logprob_batch(self.params, ids)
 
-    def logprob_batch(self, texts) -> np.ndarray:
-        return _by_length([encode(t, self.vocab, True, self.level) for t in texts], self._score)
-
 
 class TrfScorer(_Scorer):
     """Scores with the stored zeta; no normalization oracle at inference."""
@@ -158,11 +155,10 @@ class TrfScorer(_Scorer):
     kind = "trf"
 
     def __init__(self, model: TrfModel, level: str = "word"):
-        self.model, self.level = model, level
+        self.model, self.vocab, self.level = model, model.vocab, level
 
-    def logprob_batch(self, texts) -> np.ndarray:
-        return _by_length([encode(t, self.model.vocab, True, self.level) for t in texts],
-                          lambda ids: log_joint_batch(self.model, ids))
+    def _score(self, ids: np.ndarray) -> np.ndarray:
+        return log_joint_batch(self.model, ids)
 
 
 # -- word error rate -----------------------------------------------------------

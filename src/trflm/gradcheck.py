@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import LengthPrior, Sequence, Vocabulary, group_by_length, stack_ids
+from .corpus import LengthPrior, Sequence, Vocabulary, length_buckets
 from .nce import nce_gradients, nce_objective
 from .ngram import train_ngram
 from .noise import NoiseDistribution, draw_noise_batch
@@ -70,8 +70,8 @@ KINK_MARGIN = 2e-3   # min |conv preactivation| for a finite-difference-safe ins
 def _min_conv_preactivation(params, seqs) -> float:
     """Smallest |ReLU preactivation| over all conv layers and sequences."""
     worst = np.inf
-    for _, idx in group_by_length(seqs).items():
-        _, cache = potential_phi_batch(params, stack_ids([seqs[i] for i in idx]))
+    for _, ids in length_buckets(seqs):
+        _, cache = potential_phi_batch(params, ids)
         for _, pre in cache.get("bank", []) + cache["stack"]:
             worst = min(worst, float(np.abs(pre).min()))
     return worst
@@ -131,7 +131,7 @@ def check_potential(seed: int, h: float = 1e-4) -> GradCheckReport:
     through the batch API with N = 1."""
     model, _, _, _, seq = _random_instance(seed)
     params = model.potential.params
-    ids = stack_ids([seq])
+    ids = np.array([seq.ids], dtype=np.int64)
     scale = 1.7   # exercise the upstream-scale path, not just scale 1
     _, cache = potential_phi_batch(params, ids)
     analytic = potential_backward_batch(params, cache, np.array([scale]))

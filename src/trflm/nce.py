@@ -25,10 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import group_by_length, stack_ids
+from .corpus import length_buckets
 from .noise import NoiseBatch, NoiseDistribution, draw_noise_batch, noise_logprob
 from .seqnet.potential import potential_backward_batch, potential_phi_batch
-from .trf import TrfModel, exact_zeta, log_joint_batch, nll as trf_nll
+from .trf import (DEFAULT_ENUM_BUDGET, TrfModel, log_joint_batch, nll as trf_nll,
+                  with_exact_zeta, zeta_gap)
 from .util import derive_rng, fmt, log_sigmoid
 
 
@@ -87,11 +88,10 @@ def _score(model: TrfModel, nd: NoiseDistribution, data_batch,
     log_pn = np.concatenate([data_log_pn, noise_batch.log_pn])
     log_p = np.empty(len(seqs))
     buckets = []
-    for l, idx in group_by_length(seqs).items():
-        ids = stack_ids([seqs[i] for i in idx])
+    for idx, ids in length_buckets(seqs):
         phi, cache = forward(ids)
         log_p[idx] = log_joint_batch(model, ids, phi)
-        buckets.append((l, idx, cache))
+        buckets.append((ids.shape[1], idx, cache))
     return log_p - np.log(nu) - log_pn, buckets
 
 
@@ -200,7 +200,8 @@ def _batch_sizes(n: int, batch_size: int) -> list[int]:
 
 
 def train(model: TrfModel, nd: NoiseDistribution, dataset, config: NceConfig,
-          valid=None, oracle_metrics: bool = False, oracle_budget: int = 10_000_000,
+          valid=None, oracle_metrics: bool = False,
+          oracle_budget: int = DEFAULT_ENUM_BUDGET,
           step_log=None, epoch_log=None) -> TrainResult:
     """Run the NCE loop from the model's current weights and zeta: shuffled
     mini-batches, one optimizer per parameter group, per-step stats and
@@ -255,19 +256,12 @@ def train(model: TrfModel, nd: NoiseDistribution, dataset, config: NceConfig,
                                f"{fmt(stats.mean_post_noise)},{fmt(stats.grad_norm_theta)},"
                                f"{fmt(stats.grad_norm_zeta)}\n")
             step += 1
-        train_nll = trf_nll(model, dataset, "stored")
+        train_nll = trf_nll(model, dataset)
         valid_nll = gap_sq = gaps = None
         if oracle_metrics:
-            zs = exact_zeta(model, None, oracle_budget)   # one enumeration per epoch
-            gaps = {l: float(model.zeta[l - 1]) - z for l, z in zs.items()}
-            gap_sq = float(sum(g ** 2 for g in gaps.values()))
-            if valid:
-                true_zeta = np.array(model.zeta)
-                for l, z in zs.items():
-                    true_zeta[l - 1] = z
-                shadow = TrfModel(model.potential, true_zeta, model.length_prior,
-                                  model.reference, model.vocab)
-                valid_nll = trf_nll(shadow, valid, "stored")
+            exact = with_exact_zeta(model, None, oracle_budget)   # one enumeration per epoch
+            gaps, gap_sq = zeta_gap(model, exact)
+            valid_nll = trf_nll(exact, valid) if valid else None
         record = EpochRecord(epoch, lr_t, lr_z, train_nll, valid_nll, gap_sq, gaps)
         result.epochs.append(record)
         if epoch_log:

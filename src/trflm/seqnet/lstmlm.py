@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..corpus import group_by_length, stack_ids
+from ..corpus import length_buckets
 from . import layers
 
 
@@ -70,7 +70,7 @@ def _forward(params: layers.Params, ids: np.ndarray):
     logits[:, :, cfg.bos] = -np.inf
     zmax = logits.max(axis=2, keepdims=True)
     lse = zmax[:, :, 0] + np.log(np.exp(logits - zmax).sum(axis=2))
-    return inputs, caches, logits, lse
+    return inputs, caches, h, logits, lse
 
 
 def _gather_logprobs(cfg: LstmLmConfig, ids, logits, lse) -> np.ndarray:
@@ -88,7 +88,7 @@ def _gather_logprobs(cfg: LstmLmConfig, ids, logits, lse) -> np.ndarray:
 def lstm_lm_logprob_batch(params: layers.Params, ids) -> np.ndarray:
     ids = np.asarray(ids, dtype=np.int64)
     _check_batch(params.config, ids)
-    _, _, logits, lse = _forward(params, ids)
+    _, _, _, logits, lse = _forward(params, ids)
     return _gather_logprobs(params.config, ids, logits, lse)
 
 
@@ -99,10 +99,9 @@ def lstm_lm_loss_grads(params: layers.Params, batch) -> tuple[float, dict]:
     grads = params.zeros_like()
     total_nll = 0.0
     n_total = len(batch)
-    for _, idx in group_by_length(batch).items():
-        ids = stack_ids([batch[i] for i in idx])
+    for _, ids in length_buckets(batch):
         _check_batch(cfg, ids)
-        inputs, caches, logits, lse = _forward(params, ids)
+        inputs, caches, h, logits, lse = _forward(params, ids)
         lp = _gather_logprobs(cfg, ids, logits, lse)
         total_nll += float(-lp.sum())
 
@@ -116,7 +115,7 @@ def lstm_lm_loss_grads(params: layers.Params, batch) -> tuple[float, dict]:
         dlogits[rows, cols, targets] -= 1.0 / n_total
         if length == cfg.max_len:
             dlogits[:, -1, :] = 0.0
-        grads["out_w"] += np.einsum("ntd,ntv->dv", _last_h(caches[-1]), dlogits)
+        grads["out_w"] += np.einsum("ntd,ntv->dv", h, dlogits)
         grads["out_b"] += dlogits.sum(axis=(0, 1))
         dh = dlogits @ t["out_w"].T
         for i in reversed(range(1, cfg.num_layers + 1)):
@@ -125,12 +124,6 @@ def lstm_lm_loss_grads(params: layers.Params, batch) -> tuple[float, dict]:
             grads[f"lstm{i}_b"] += db
         grads["emb"] += layers.embedding_backward(dh, inputs, t["emb"].shape)
     return total_nll / n_total, grads
-
-
-def _last_h(cache):
-    """Hidden-state sequence recorded by lstm_forward, recovered from its cache."""
-    zin, gi, gf, gg, go, c, tc, w, cin = cache
-    return go * tc
 
 
 def lstm_lm_train_step(params: layers.Params, batch, lr: float) -> tuple[layers.Params, float]:

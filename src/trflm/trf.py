@@ -12,17 +12,16 @@ exactly normalized; during training zeta is an ordinary parameter.
 For enumerable spaces exact_log_z computes log Z_l by brute force over every
 payload assignment of a length (lexicographic order, chunked stable
 log-sum-exp), which is the ground-truth oracle the estimated zeta is judged
-against.
+against; with_exact_zeta is the one model normalized by it.
 """
 from __future__ import annotations
 
-import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import LengthPrior, Sequence, Vocabulary, group_by_length, stack_ids
+from .corpus import LengthPrior, Sequence, Vocabulary, length_buckets
 from . import ngram as ngram_mod
 from .seqnet import Params, lstmlm
 from .util import logsumexp
@@ -34,7 +33,6 @@ class UniformReference:
     """q(x^l) = V_payload^-(payload length): per-length normalized."""
 
     kind = "uniform"
-    per_length_normalized = True
 
     def __init__(self, payload_size: int):
         if payload_size < 1:
@@ -50,7 +48,6 @@ class NgramReference:
     """Fixed-length restriction of an n-gram model: per-length normalized."""
 
     kind = "ngram"
-    per_length_normalized = True
 
     def __init__(self, model: ngram_mod.NGramModel):
         self.model = model
@@ -64,7 +61,6 @@ class LstmReference:
     """LSTM LM reference: normalized jointly over lengths <= its max_len."""
 
     kind = "lstm"
-    per_length_normalized = False
 
     def __init__(self, params: Params):
         self.params = params
@@ -131,39 +127,34 @@ def log_joint(model: TrfModel, x: Sequence) -> float:
     return float(log_joint_batch(model, np.array([x.ids]))[0])
 
 
-def _payload_chunks(payload_ids, p: int, bos: int, eos: int, chunk: int = 8192):
-    """(N, p+2) id matrices covering the length-(p+2) space in lexicographic
-    payload order."""
-    it = itertools.product(sorted(payload_ids), repeat=p)
-    while True:
-        block = list(itertools.islice(it, chunk))
-        if not block:
-            return
-        mat = np.empty((len(block), p + 2), dtype=np.int64)
-        mat[:, 0] = bos
-        mat[:, -1] = eos
-        if p:
-            mat[:, 1:-1] = np.array(block, dtype=np.int64)
-        yield mat
-
-
-def _check_budget(model: TrfModel, l: int, budget: int) -> int:
+def _length_space(model: TrfModel, l: int, budget: int, chunk: int = 8192):
+    """(<= chunk, l) id matrices covering the length-l space, payloads in
+    lexicographic order of the sorted payload ids: row k spells k in mixed
+    radix over the payload alphabet, the last payload position varying fastest."""
     p = l - 2
     if p < 0:
         raise ValueError(f"no sequences of length {l} exist (minimum is 2)")
-    count = len(model.vocab.payload_ids) ** p
+    payload = np.array(sorted(model.vocab.payload_ids), dtype=np.int64)
+    count = len(payload) ** p
     if count > budget:
         raise ValueError(f"enumerating length {l} needs {count} sequences, "
                          f"over the budget of {budget}")
-    return p
+    for start in range(0, count, chunk):
+        k = np.arange(start, min(start + chunk, count), dtype=np.int64)
+        ids = np.empty((k.size, l), dtype=np.int64)
+        ids[:, 0] = model.vocab.bos
+        ids[:, -1] = model.vocab.eos
+        for col in range(p, 0, -1):
+            k, digit = np.divmod(k, payload.size)
+            ids[:, col] = payload[digit]
+        yield ids
 
 
 def exact_log_z(model: TrfModel, l: int, budget: int = DEFAULT_ENUM_BUDGET) -> float:
     """Brute-force log Z_l = log sum over the full length-l space of
     q(x) * e^phi(x), accumulated with a stable chunked log-sum-exp."""
-    p = _check_budget(model, l, budget)
     acc = -np.inf
-    for ids in _payload_chunks(model.vocab.payload_ids, p, model.vocab.bos, model.vocab.eos):
+    for ids in _length_space(model, l, budget):
         scores = model.reference.log_q_batch(ids) + model.potential.phi_batch(ids)
         acc = np.logaddexp(acc, logsumexp(scores))
     return float(acc)
@@ -176,45 +167,46 @@ def exact_zeta(model: TrfModel, lengths=None, budget: int = DEFAULT_ENUM_BUDGET)
     return {int(l): exact_log_z(model, int(l), budget) for l in lengths}
 
 
+def with_exact_zeta(model: TrfModel, lengths=None,
+                    budget: int = DEFAULT_ENUM_BUDGET) -> TrfModel:
+    """The model with zeta_l set to exact_log_z at every requested (default:
+    supported) length; other lengths keep their stored zeta."""
+    zeta = model.zeta.copy()
+    for l, z in exact_zeta(model, lengths, budget).items():
+        zeta[l - 1] = z
+    return replace(model, zeta=zeta)
+
+
 def total_mass(model: TrfModel, budget: int = DEFAULT_ENUM_BUDGET) -> float:
     """Total probability over the enumerated trans-dimensional space under the
     stored zeta; equals 1 when zeta matches exact_log_z."""
     total = 0.0
     for l in model.supported_lengths:
-        p = _check_budget(model, l, budget)
-        for ids in _payload_chunks(model.vocab.payload_ids, p, model.vocab.bos, model.vocab.eos):
+        for ids in _length_space(model, l, budget):
             total += float(np.exp(log_joint_batch(model, ids)).sum())
     return total
 
 
-def nll(model: TrfModel, dataset, zeta_source: str = "stored",
-        budget: int = DEFAULT_ENUM_BUDGET) -> float:
-    """Mean negative log-likelihood; zeta_source is "stored" or "exact"."""
+def nll(model: TrfModel, dataset) -> float:
+    """Mean negative log-likelihood under the model's own zeta; infinite, with
+    a warning, when the dataset holds a length of zero prior probability."""
     if not dataset:
         raise ValueError("empty dataset")
-    if zeta_source not in ("stored", "exact"):
-        raise ValueError(f"unknown zeta source: {zeta_source!r}")
-    zeta = np.array(model.zeta)
-    lengths = sorted(group_by_length(dataset))
-    bad = [l for l in lengths if model.length_prior.prob(l) == 0.0]
+    buckets = list(length_buckets(dataset))
+    bad = [ids.shape[1] for _, ids in buckets if model.length_prior.prob(ids.shape[1]) == 0.0]
     if bad:
         warnings.warn(f"lengths with zero prior probability in dataset: {bad}; "
                       "their NLL is infinite")
-    if zeta_source == "exact":
-        for l, z in exact_zeta(model, [l for l in lengths if l not in bad], budget).items():
-            zeta[l - 1] = z
-    shadow = TrfModel(model.potential, zeta, model.length_prior, model.reference, model.vocab)
+        return float(np.inf)
     total = 0.0
-    for l, idx in group_by_length(dataset).items():
-        if l in bad:
-            return float(np.inf)
-        lp = log_joint_batch(shadow, stack_ids([dataset[i] for i in idx]))
-        total += float(-lp.sum())
+    for _, ids in buckets:
+        total += float(-log_joint_batch(model, ids).sum())
     return total / len(dataset)
 
 
-def zeta_gap(model: TrfModel, budget: int = DEFAULT_ENUM_BUDGET) -> tuple[dict[int, float], float]:
-    """Per-length zeta - zeta* over supported lengths, and the squared norm."""
-    gaps = {l: float(model.zeta[l - 1]) - z
-            for l, z in exact_zeta(model, None, budget).items()}
-    return gaps, float(sum(g * g for g in gaps.values()))
+def zeta_gap(model: TrfModel, exact: TrfModel) -> tuple[dict[int, float], float]:
+    """Per-length zeta - zeta* over supported lengths, with zeta* read from
+    exact (see with_exact_zeta), and the squared norm."""
+    gaps = {l: float(model.zeta[l - 1]) - float(exact.zeta[l - 1])
+            for l in model.supported_lengths}
+    return gaps, float(sum(g ** 2 for g in gaps.values()))

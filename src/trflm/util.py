@@ -45,6 +45,15 @@ def atomic_write_text(path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of path; text that is not UTF-8 names the file as `what`."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{what} {path}: {exc}") from None
+
+
 def parse_json_file(path, what: str, parse):
     """parse(the JSON document in path); a ValueError or OSError names the file as `what`."""
     with open(path, encoding="utf-8") as f:

@@ -176,6 +176,25 @@ def test_missing_corpus_is_clean_error(micro, capsys):
     assert "train" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("reader", ["config", "corpus", "nbest", "refs", "words"])
+def test_text_that_is_not_utf8_names_the_file(micro, capsys, reader):
+    argv = ["train-ngram", "-c", "micro.ini"]
+    bad = {"config": "micro.ini", "corpus": "micro/train.txt", "words": "words.txt",
+           "nbest": "nbest.txt", "refs": "refs.txt"}[reader]
+    if reader in ("nbest", "refs"):
+        assert main(argv) == 0
+        argv = write_rescore_inputs("micro/out/vocab.txt", "ngram:micro/out/ngram.json")
+    elif reader == "words":
+        argv = ["make-pilot", "--out", "p", "--words", bad]
+    with open(bad, "ab") as f:
+        f.write("caf\u00e9\n".encode("latin-1") if reader == "config" else b"\xff\xfe\n")
+    capsys.readouterr()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and bad in err and "utf-8" in err
+    assert err.count("\n") == 1 and not out
+
+
 def test_train_lstm_writes_artifacts(micro):
     assert main(["train-lstm", "-c", "micro.ini"]) == 0
     assert os.path.exists("micro/out/lstm.json")
@@ -222,7 +241,7 @@ def test_eval_rejects_malformed_model(micro, capsys):
 def test_eval_stored_matches_exact_after_sync(micro, capsys):
     # sync the stored normalizers to the oracle, then the two paths agree
     from trflm import serialize
-    from trflm.trf import exact_zeta, nll
+    from trflm.trf import exact_zeta, nll, with_exact_zeta
     from trflm import corpus as corpus_mod
     main(["train-trf", "-c", "micro.ini"])
     model = serialize.load_trf_bundle("micro/out/trf.json")
@@ -230,7 +249,7 @@ def test_eval_stored_matches_exact_after_sync(micro, capsys):
         model.zeta[l - 1] = z
     data = corpus_mod.encode_corpus(corpus_mod.read_corpus("micro/valid.txt"),
                                     model.vocab, "char", model.max_len)
-    assert nll(model, data, "stored") == pytest.approx(nll(model, data, "exact"), abs=1e-12)
+    assert nll(model, data) == pytest.approx(nll(with_exact_zeta(model), data), abs=1e-12)
 
 
 def test_train_trf_deterministic_metrics(micro):

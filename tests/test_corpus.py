@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from trflm import corpus
-from trflm.corpus import (LengthPrior, Sequence, build_vocabulary, decode,
+from trflm.corpus import (LengthPrior, Sequence, build_vocabulary,
                           empirical_length_prior, encode, load_vocabulary,
                           save_vocabulary)
 
@@ -69,13 +69,6 @@ def test_encode_length_error_names_line():
     v = build_vocabulary(["a b c"])
     with pytest.raises(ValueError, match="a b c d"):
         encode("a b c d", v, max_len=4)
-
-
-@given(st.lists(st.sampled_from(["ant", "bee", "cow", "dog", "elk"]), min_size=1, max_size=8))
-def test_encode_decode_identity(tokens):
-    v = build_vocabulary(["ant bee cow dog elk"])
-    line = " ".join(tokens)
-    assert decode(encode(line, v), v) == line
 
 
 def test_empirical_length_prior_direct():

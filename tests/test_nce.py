@@ -170,17 +170,20 @@ def test_gradients_objective_equals_nce_objective(setting):
 
 
 def test_last_epoch_gaps_match_zeta_gap(setting):
-    from trflm.trf import zeta_gap
+    from trflm.trf import nll, with_exact_zeta, zeta_gap
     vocab, pi, nd, data = setting
     params = init_potential_params(PotentialConfig(vocab_size=vocab.size, emb_dim=3,
                                                    hidden_dim=3), 42)
     model = TrfModel(NeuralPotential(params), zeta_init_vector("zeros", 4, vocab.size), pi,
                      UniformReference(3), vocab)
     cfg = NceConfig(nu=2, batch_size=2, epochs=2)
-    result = train(model, nd, [s for s in data if len(s) > 2], cfg, oracle_metrics=True)
-    gaps, gap_sq = zeta_gap(model)
+    train_set, valid = [s for s in data if len(s) > 2], data[1:4]   # lengths 3 and 4
+    result = train(model, nd, train_set, cfg, valid=valid, oracle_metrics=True)
+    exact = with_exact_zeta(model)
+    gaps, gap_sq = zeta_gap(model, exact)
     assert result.epochs[-1].zeta_gaps == gaps
     assert result.epochs[-1].zeta_gap_sq == gap_sq
+    assert result.epochs[-1].valid_nll == nll(exact, valid)
     assert train(model, nd, data[2:], cfg).epochs[-1].zeta_gaps is None
 
 

@@ -9,8 +9,9 @@ from trflm.corpus import LengthPrior, Sequence, Vocabulary, encode
 from trflm.ngram import train_ngram
 from trflm.seqnet import NeuralPotential, PotentialConfig, init_potential_params
 from trflm.trf import (LstmReference, NgramReference, TrfModel,
-                       UniformReference, exact_log_z, exact_zeta, log_joint,
-                       nll, total_mass, zeta_gap, zeta_init_vector)
+                       UniformReference, _length_space, exact_log_z, exact_zeta,
+                       log_joint, nll, total_mass, with_exact_zeta, zeta_gap,
+                       zeta_init_vector)
 
 
 def zeroed_neural(vocab_size=5, **kw):
@@ -68,6 +69,31 @@ def test_log_joint_matches_independent_reimplementation():
         ids = np.array([x.ids])
         expect = math.log(pi.prob(l)) + ref.log_q_batch(ids)[0] + pot.phi_batch(ids)[0] - zeta[l - 1]
         assert log_joint(model, x) == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("payload_len", range(4))
+def test_length_space_matches_itertools_product(payload_len):
+    # 21 payload symbols: length 5 spans two chunks (8192 + 1069 rows)
+    vocab = Vocabulary(("<s>", "</s>", "<unk>") + tuple(f"w{i}" for i in range(20)))
+    l = payload_len + 2
+    model = TrfModel(zeroed_neural(vocab.size), np.zeros(l), LengthPrior(np.eye(l)[l - 1]),
+                     UniformReference(len(vocab.payload_ids)), vocab)
+    payloads = list(itertools.product(sorted(vocab.payload_ids), repeat=payload_len))
+    expect = np.array([(vocab.bos, *p, vocab.eos) for p in payloads], dtype=np.int64)
+    chunks = list(_length_space(model, l, budget=len(payloads)))
+    assert [len(c) for c in chunks] == [len(c) for c in np.array_split(
+        expect, range(8192, len(expect), 8192))]
+    assert all(c.dtype == np.int64 for c in chunks)
+    assert np.array_equal(np.concatenate(chunks), expect)
+
+
+def test_length_space_errors(v4):
+    pi = LengthPrior(np.array([0.0, 0.0, 0.0, 1.0]))
+    model = TrfModel(zeroed_neural(4), np.zeros(4), pi, UniformReference(2), v4)
+    with pytest.raises(ValueError, match="minimum is 2"):
+        next(_length_space(model, 1, budget=10))
+    with pytest.raises(ValueError, match="needs 4 sequences, over the budget of 3"):
+        next(_length_space(model, 4, budget=3))
 
 
 def test_exact_log_z_is_zero_for_pure_reference(v4):
@@ -137,7 +163,7 @@ def test_nll_pure_reference(v4):
             Sequence((v4.bos, 2, v4.eos))]
     expect = -np.mean([math.log(pi.prob(len(x))) + ref.log_q_batch(np.array([x.ids]))[0]
                        for x in data])
-    assert nll(model, data, "exact") == pytest.approx(expect, abs=1e-12)
+    assert nll(with_exact_zeta(model), data) == pytest.approx(expect, abs=1e-12)
 
 
 def test_nll_stored_equals_exact_when_synced():
@@ -148,7 +174,7 @@ def test_nll_stored_equals_exact_when_synced():
     for l, z in exact_zeta(model).items():
         model.zeta[l - 1] = z
     data = [Sequence((vocab.bos, 3, vocab.eos)), Sequence((vocab.bos, vocab.eos))]
-    assert nll(model, data, "stored") == pytest.approx(nll(model, data, "exact"), abs=1e-12)
+    assert nll(model, data) == pytest.approx(nll(with_exact_zeta(model), data), abs=1e-12)
 
 
 def test_nll_zero_prior_warns_and_is_infinite(v4):
@@ -156,16 +182,14 @@ def test_nll_zero_prior_warns_and_is_infinite(v4):
     model = TrfModel(zeroed_neural(4), np.zeros(3), pi, UniformReference(2), v4)
     data = [Sequence((v4.bos, v4.eos))]   # length 2 has zero prior
     with pytest.warns(UserWarning, match=r"\[2\]"):
-        assert nll(model, data, "stored") == np.inf
+        assert nll(model, data) == np.inf
 
 
 def test_nll_errors(v4):
     pi = LengthPrior(np.array([0.0, 0.0, 1.0]))
     model = TrfModel(zeroed_neural(4), np.zeros(3), pi, UniformReference(2), v4)
     with pytest.raises(ValueError, match="empty"):
-        nll(model, [], "stored")
-    with pytest.raises(ValueError, match="zeta source"):
-        nll(model, [Sequence((v4.bos, 3, v4.eos))], "oracle")
+        nll(model, [])
 
 
 def test_zeta_gap_zero_at_oracle_and_shift(v4):
@@ -174,10 +198,10 @@ def test_zeta_gap_zero_at_oracle_and_shift(v4):
     model = TrfModel(NeuralPotential(params), np.zeros(4), pi, UniformReference(2), v4)
     for l, z in exact_zeta(model).items():
         model.zeta[l - 1] = z
-    gaps, sq = zeta_gap(model)
+    gaps, sq = zeta_gap(model, with_exact_zeta(model))
     assert sq == pytest.approx(0.0, abs=1e-18)
     model.zeta[1:] += 1.0   # all 3 supported lengths
-    gaps, sq = zeta_gap(model)
+    gaps, sq = zeta_gap(model, with_exact_zeta(model))
     assert sq == pytest.approx(3.0, abs=1e-12)
     assert all(g == pytest.approx(1.0, abs=1e-12) for g in gaps.values())
 
@@ -197,7 +221,6 @@ def test_lstm_reference_mass_matches_lm():
     vocab = Vocabulary(("<s>", "</s>", "<unk>", "a"))
     lm = init_lstm_lm_params(LstmLmConfig(vocab_size=4, emb_dim=3, hidden_dim=3, max_len=4), 9)
     ref = LstmReference(lm)
-    assert not ref.per_length_normalized
     pi = LengthPrior(np.array([0.0, 1 / 3, 1 / 3, 1 / 3]))
     model = TrfModel(zeroed_neural(4), np.zeros(4), pi, ref, vocab)
     # with phi == 0, sum_l exp(log Z_l) must equal the LM's total mass: 1

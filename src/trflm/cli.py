@@ -19,14 +19,13 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import evalkit, ngram as ngram_mod, serialize
-from .nce import NceConfig, train as nce_train
+from .nce import Diverged, NceConfig, train as nce_train
 from .noise import NoiseDistribution
 from .seqnet import (LstmLmConfig, PotentialConfig, NeuralPotential,
                      init_lstm_lm_params, init_potential_params,
                      lstm_lm_logprob_batch, lstm_lm_train_step)
-from .trf import (DEFAULT_ENUM_BUDGET, LstmReference, NgramReference, TrfModel,
-                  UniformReference, exact_zeta, nll as trf_nll, with_exact_zeta,
-                  zeta_init_vector)
+from .trf import (DEFAULT_ENUM_BUDGET, TrfModel, exact_zeta, nll as trf_nll,
+                  with_exact_zeta, zeta_init_vector)
 from .util import atomic_write_text, derive_rng, fmt, read_text
 
 
@@ -51,10 +50,10 @@ SCHEMA = {
     "noise": {"order": (int, 2), "nu": (int, 10)},
     "training": {
         "batch_size": (int, 10), "epochs": (int, 20),
-        "optimizer": (str, "adam"), "optimizer_zeta": (str, None),
-        "lr_theta": (float, 1e-3), "lr_zeta": (float, 1e-2),
-        "schedule": (str, "fixed"), "seed": (int, 0),
-        "oracle_metrics": (bool, False), "oracle_budget": (int, DEFAULT_ENUM_BUDGET),
+        "lr_theta": (float, 1e-3), "lr_zeta": (float, 1e-2), "seed": (int, 0),
+        "oracle_metrics": (bool, False),
+        # accepted, with their one value, for configs that still name them
+        "optimizer": (str, "adam"), "schedule": (str, "fixed"),
     },
     "lstm": {
         "emb_dim": (int, 16), "hidden_dim": (int, 16), "layers": (int, 1),
@@ -176,16 +175,30 @@ def _outdir(cfg: ExperimentConfig) -> str:
 
 
 def _reference(cfg: ExperimentConfig, vocab):
+    """The [model] reference and the file it was loaded from (None for uniform)."""
     kind = cfg.get("model", "reference")
-    ref_file = cfg.path("model", "reference_file")
-    if kind == "uniform":
-        return UniformReference(len(vocab.payload_ids)), None
-    if kind not in ("ngram", "lstm"):
+    if kind not in serialize.REFERENCE_KINDS:
         raise ConfigError(f"unknown reference kind {kind!r} in [model]")
-    if ref_file is None:
+    ref_file = None if kind == "uniform" else cfg.path("model", "reference_file")
+    if kind != "uniform" and ref_file is None:
         raise ConfigError(f"reference {kind!r} needs key 'reference_file' in [model]")
-    model = serialize.load_model_file(kind, ref_file, vocab)
-    return (NgramReference(model) if kind == "ngram" else LstmReference(model)), ref_file
+    return serialize.load_reference(kind, ref_file, vocab), ref_file
+
+
+def nce_config(cfg: ExperimentConfig) -> NceConfig:
+    """The NCE recipe of the [noise] and [training] sections."""
+    for key in ("optimizer", "schedule"):
+        value, default = cfg.get("training", key), SCHEMA["training"][key][1]
+        if value != default:
+            raise ConfigError(f"key {key!r} in [training] must be {default!r}, got {value!r}")
+    try:
+        return NceConfig(
+            nu=cfg.get("noise", "nu"), batch_size=cfg.get("training", "batch_size"),
+            epochs=cfg.get("training", "epochs"),
+            lr_theta=cfg.get("training", "lr_theta"), lr_zeta=cfg.get("training", "lr_zeta"),
+            seed=cfg.get("training", "seed"))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 # -- commands ------------------------------------------------------------------
@@ -202,6 +215,8 @@ def split_pilot(words, valid_every: int = 13, offset: int = 6):
 
 
 def cmd_make_pilot(args) -> int:
+    if args.valid_every < 1:
+        raise ValueError(f"--valid-every must be at least 1, got {args.valid_every}")
     if args.words:
         raw = [w.strip().lower() for w in read_text(args.words, "word list").split("\n")
                if w.strip()]
@@ -257,10 +272,13 @@ def cmd_train_lstm(args) -> int:
     params = init_lstm_lm_params(lstm_cfg, derive_rng(seed, "lstm-init"))
     rng = derive_rng(seed, "lstm-shuffle")
     lr = cfg.get("lstm", "lr")
-    bsz = cfg.get("lstm", "batch_size")
+    bsz, epochs = cfg.get("lstm", "batch_size"), cfg.get("lstm", "epochs")
+    for key, value in (("batch_size", bsz), ("epochs", epochs)):
+        if value < 1:
+            raise ConfigError(f"key {key!r} in [lstm] must be at least 1, got {value}")
     out = _outdir(cfg)
     rows = ["epoch,train_nll,valid_nll"]
-    for epoch in range(cfg.get("lstm", "epochs")):
+    for epoch in range(epochs):
         order = rng.permutation(len(train))
         losses = []
         for i in range(0, len(train), bsz):
@@ -276,13 +294,14 @@ def cmd_train_lstm(args) -> int:
     atomic_write_text(os.path.join(out, "metrics_epochs.csv"), "\n".join(rows) + "\n")
     corpus_mod.save_vocabulary(vocab, os.path.join(out, "vocab.txt"))
     serialize.save_lstm_lm(params, os.path.join(out, "lstm.json"))
-    print(f"train-lstm: epochs={cfg.get('lstm', 'epochs')} final_train_nll={rows[-1].split(',')[1]}")
+    print(f"train-lstm: epochs={epochs} final_train_nll={rows[-1].split(',')[1]}")
     return 0
 
 
 def cmd_train_trf(args) -> int:
     cfg = load_config(args.config)
     cfg.require_section("corpus", "model", "noise", "training", "output")
+    nce_cfg = nce_config(cfg)
     vocab, train, valid, level, max_len = _load_corpus(cfg)
     prior = corpus_mod.empirical_length_prior(train, max_len)
     noise_base = ngram_mod.train_ngram(train, cfg.get("noise", "order"), vocab)
@@ -301,25 +320,20 @@ def cmd_train_trf(args) -> int:
                      zeta_init_vector(cfg.get("model", "zeta_init"), max_len, vocab.size),
                      prior, reference, vocab, level)
 
-    nce_cfg = NceConfig(
-        nu=cfg.get("noise", "nu"), batch_size=cfg.get("training", "batch_size"),
-        epochs=cfg.get("training", "epochs"),
-        lr_theta=cfg.get("training", "lr_theta"), lr_zeta=cfg.get("training", "lr_zeta"),
-        optimizer_theta=cfg.get("training", "optimizer"),
-        optimizer_zeta=cfg.get("training", "optimizer_zeta") or cfg.get("training", "optimizer"),
-        schedule=cfg.get("training", "schedule"), seed=seed)
+    result = nce_train(model, nd, train, nce_cfg, valid=valid,
+                       oracle_metrics=cfg.get("training", "oracle_metrics"))
 
     out = _outdir(cfg)
-    steps_tmp = os.path.join(out, "metrics_steps.csv.tmp")
-    epochs_tmp = os.path.join(out, "metrics_epochs.csv.tmp")
-    with open(steps_tmp, "w", encoding="utf-8") as step_log, \
-            open(epochs_tmp, "w", encoding="utf-8") as epoch_log:
-        result = nce_train(model, nd, train, nce_cfg, valid=valid,
-                           oracle_metrics=cfg.get("training", "oracle_metrics"),
-                           oracle_budget=cfg.get("training", "oracle_budget"),
-                           step_log=step_log, epoch_log=epoch_log)
-    os.replace(steps_tmp, os.path.join(out, "metrics_steps.csv"))
-    os.replace(epochs_tmp, os.path.join(out, "metrics_epochs.csv"))
+    steps = ["step,epoch,j,post_data,post_noise,grad_norm_theta,grad_norm_zeta"]
+    steps += [f"{i},{epoch},{fmt(s.j)},{fmt(s.mean_post_data)},{fmt(s.mean_post_noise)},"
+              f"{fmt(s.grad_norm_theta)},{fmt(s.grad_norm_zeta)}"
+              for i, (epoch, s) in enumerate(result.steps)]
+    atomic_write_text(os.path.join(out, "metrics_steps.csv"), "\n".join(steps) + "\n")
+    epochs = ["epoch,lr_theta,lr_zeta,train_nll,valid_nll,zeta_gap_sq"]
+    epochs += [f"{r.epoch},{fmt(nce_cfg.lr_theta)},{fmt(nce_cfg.lr_zeta)},{fmt(r.train_nll)},"
+               f"{'' if r.valid_nll is None else fmt(r.valid_nll)},"
+               f"{'' if r.zeta_gap_sq is None else fmt(r.zeta_gap_sq)}" for r in result.epochs]
+    atomic_write_text(os.path.join(out, "metrics_epochs.csv"), "\n".join(epochs) + "\n")
 
     corpus_mod.save_vocabulary(vocab, os.path.join(out, "vocab.txt"))
     serialize.save_potential(params, os.path.join(out, "potential.json"))
@@ -332,7 +346,7 @@ def cmd_train_trf(args) -> int:
                               "potential.json", "vocab.txt", bundle_ref)
     last = result.epochs[-1]
     gap = "" if last.zeta_gap_sq is None else f" zeta_gap_sq={fmt(last.zeta_gap_sq)}"
-    print(f"train-trf: epochs={len(result.epochs)} steps={result.steps} "
+    print(f"train-trf: epochs={len(result.epochs)} steps={len(result.steps)} "
           f"train_nll={fmt(last.train_nll)}{gap}")
     return 0
 
@@ -441,6 +455,8 @@ def cmd_rescore(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     from . import gradcheck as gc
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     reports = gc.run_suite(range(args.seeds), args.step)
     worst = max(reports, key=lambda r: r.max_rel_error / r.threshold)
     for r in reports:
@@ -501,7 +517,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError, Diverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

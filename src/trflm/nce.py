@@ -28,34 +28,27 @@ import numpy as np
 from .corpus import length_buckets
 from .noise import NoiseBatch, NoiseDistribution, draw_noise_batch, noise_logprob
 from .seqnet.potential import potential_backward_batch, potential_phi_batch
-from .trf import (DEFAULT_ENUM_BUDGET, TrfModel, log_joint_batch, nll as trf_nll,
-                  with_exact_zeta, zeta_gap)
-from .util import derive_rng, fmt, log_sigmoid
+from .trf import TrfModel, log_joint_batch, nll as trf_nll, with_exact_zeta, zeta_gap
+from .util import derive_rng, log_sigmoid
 
 
 @dataclass(frozen=True)
 class NceConfig:
+    """The one training recipe: Adam on theta and on zeta, each at its fixed rate."""
     nu: int = 10
     batch_size: int = 10
     epochs: int = 20
     lr_theta: float = 1e-3
     lr_zeta: float = 1e-2
-    optimizer_theta: str = "adam"
-    optimizer_zeta: str = "adam"
-    schedule: str = "fixed"            # or "halve-each-epoch"
     seed: int = 0                      # two runs with one seed are bit-identical
 
     def __post_init__(self):
-        if self.nu < 1:
-            raise ValueError("nu must be >= 1")
-        if self.lr_theta <= 0 or self.lr_zeta <= 0:
-            raise ValueError("learning rates must be positive")
-        if self.schedule not in ("fixed", "halve-each-epoch"):
-            raise ValueError(f"unknown schedule: {self.schedule!r}")
-
-    def lr_at(self, epoch: int) -> tuple[float, float]:
-        scale = 0.5 ** epoch if self.schedule == "halve-each-epoch" else 1.0
-        return self.lr_theta * scale, self.lr_zeta * scale
+        for name in ("nu", "batch_size", "epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("lr_theta", "lr_zeta"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass
@@ -138,12 +131,6 @@ def nce_gradients(model: TrfModel, nd: NoiseDistribution, data_batch,
     return grad_theta, grad_zeta, stats
 
 
-class Sgd:
-    def step(self, tensors, grads, lr):
-        for k, g in grads.items():
-            tensors[k] -= lr * g
-
-
 class Adam:
     def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
@@ -166,19 +153,13 @@ class Adam:
             tensors[k] -= lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
-def make_optimizer(name: str):
-    if name == "sgd":
-        return Sgd()
-    if name == "adam":
-        return Adam()
-    raise ValueError(f"unknown optimizer: {name!r}")
+class Diverged(RuntimeError):
+    """A training step produced a non-finite gradient."""
 
 
 @dataclass
 class EpochRecord:
     epoch: int
-    lr_theta: float
-    lr_zeta: float
     train_nll: float
     valid_nll: float | None
     zeta_gap_sq: float | None
@@ -187,86 +168,50 @@ class EpochRecord:
 
 @dataclass
 class TrainResult:
-    model: TrfModel
+    steps: list[tuple[int, NceStepStats]] = field(default_factory=list)   # (epoch, stats)
     epochs: list[EpochRecord] = field(default_factory=list)
-    steps: int = 0
-
-
-def _batch_sizes(n: int, batch_size: int) -> list[int]:
-    sizes = [batch_size] * (n // batch_size)
-    if n % batch_size:
-        sizes.append(n % batch_size)
-    return sizes
 
 
 def train(model: TrfModel, nd: NoiseDistribution, dataset, config: NceConfig,
-          valid=None, oracle_metrics: bool = False,
-          oracle_budget: int = DEFAULT_ENUM_BUDGET,
-          step_log=None, epoch_log=None) -> TrainResult:
-    """Run the NCE loop from the model's current weights and zeta: shuffled
-    mini-batches, one optimizer per parameter group, per-step stats and
-    per-epoch NLL / zeta-gap metrics (the latter via the oracle when oracle_metrics is set).
-
-    step_log / epoch_log are writable text handles for the CSV metrics.
-    """
+          valid=None, oracle_metrics: bool = False) -> TrainResult:
+    """Run the NCE loop from the model's current weights and zeta, updating
+    them in place: shuffled mini-batches, one Adam per parameter group, and
+    the per-step stats and per-epoch NLL / zeta-gap records (the latter via
+    the oracle when oracle_metrics is set)."""
     if not dataset:
         raise ValueError("empty dataset")
-    supported = np.zeros(model.max_len, dtype=bool)
-    for l in model.supported_lengths:
-        supported[l - 1] = True
-
+    frozen = model.length_prior.probs == 0   # zeta of a zero-prior length never moves
     data_log_pn = np.array([noise_logprob(nd, x) for x in dataset])   # once: data are fixed
     shuffle_rng = derive_rng(config.seed, "shuffle")
     noise_rng = derive_rng(config.seed, "noise")
-    sizes = _batch_sizes(len(dataset), config.batch_size)
+    opt_theta, opt_zeta = Adam(), Adam()
 
-    opt_theta = make_optimizer(config.optimizer_theta)
-    opt_zeta = make_optimizer(config.optimizer_zeta)
-
-    if step_log:
-        step_log.write("step,epoch,j,post_data,post_noise,grad_norm_theta,grad_norm_zeta\n")
-    if epoch_log:
-        epoch_log.write("epoch,lr_theta,lr_zeta,train_nll,valid_nll,zeta_gap_sq\n")
-
-    result = TrainResult(model)
-    step = 0
+    result = TrainResult()
     for epoch in range(config.epochs):
-        lr_t, lr_z = config.lr_at(epoch)
         order = shuffle_rng.permutation(len(dataset))
-        pos = 0
-        for bsz in sizes:
-            rows = order[pos:pos + bsz]
+        for start in range(0, len(dataset), config.batch_size):
+            rows = order[start:start + config.batch_size]
             data_batch = [dataset[i] for i in rows]
-            pos += bsz
-            noise_batch = draw_noise_batch(nd, bsz, config.nu, noise_rng)
-            g_theta, g_zeta, stats = nce_gradients(model, nd, data_batch, noise_batch,
-                                                   data_log_pn[rows])
-            for name, g in g_theta.items():
+            noise_batch = draw_noise_batch(nd, len(rows), config.nu, noise_rng)
+            # a diverging run overflows inside the passes; it is reported below
+            with np.errstate(over="ignore", invalid="ignore"):
+                g_theta, g_zeta, stats = nce_gradients(model, nd, data_batch, noise_batch,
+                                                       data_log_pn[rows])
+            for name, g in [*g_theta.items(), ("zeta", g_zeta)]:
                 if not np.all(np.isfinite(g)):
-                    raise RuntimeError(f"non-finite gradient in {name!r} at step {step}")
-            if not np.all(np.isfinite(g_zeta)):
-                raise RuntimeError(f"non-finite gradient in zeta at step {step}")
-            g_zeta[~supported] = 0.0    # frozen lengths
+                    raise Diverged(f"training diverged: non-finite gradient in {name!r} "
+                                   f"at step {len(result.steps)}")
+            g_zeta[frozen] = 0.0
             # maximize J: descend on -J
             opt_theta.step(model.potential.params.tensors,
-                           {k: -g for k, g in g_theta.items()}, lr_t)
-            opt_zeta.step({"zeta": model.zeta}, {"zeta": -g_zeta}, lr_z)
-            if step_log:
-                step_log.write(f"{step},{epoch},{fmt(stats.j)},{fmt(stats.mean_post_data)},"
-                               f"{fmt(stats.mean_post_noise)},{fmt(stats.grad_norm_theta)},"
-                               f"{fmt(stats.grad_norm_zeta)}\n")
-            step += 1
+                           {k: -g for k, g in g_theta.items()}, config.lr_theta)
+            opt_zeta.step({"zeta": model.zeta}, {"zeta": -g_zeta}, config.lr_zeta)
+            result.steps.append((epoch, stats))
         train_nll = trf_nll(model, dataset)
         valid_nll = gap_sq = gaps = None
         if oracle_metrics:
-            exact = with_exact_zeta(model, None, oracle_budget)   # one enumeration per epoch
+            exact = with_exact_zeta(model)   # one enumeration per epoch
             gaps, gap_sq = zeta_gap(model, exact)
             valid_nll = trf_nll(exact, valid) if valid else None
-        record = EpochRecord(epoch, lr_t, lr_z, train_nll, valid_nll, gap_sq, gaps)
-        result.epochs.append(record)
-        if epoch_log:
-            epoch_log.write(f"{epoch},{fmt(lr_t)},{fmt(lr_z)},{fmt(train_nll)},"
-                            f"{'' if valid_nll is None else fmt(valid_nll)},"
-                            f"{'' if gap_sq is None else fmt(gap_sq)}\n")
-    result.steps = step
+        result.epochs.append(EpochRecord(epoch, train_nll, valid_nll, gap_sq, gaps))
     return result

@@ -102,6 +102,18 @@ def load_model_file(kind: str, path, vocab: Vocabulary):
     return model
 
 
+REFERENCE_KINDS = ("uniform", "ngram", "lstm")
+
+
+def load_reference(kind: str, path, vocab: Vocabulary):
+    """The reference distribution of a kind in REFERENCE_KINDS over vocab; an
+    "ngram" or "lstm" reference scores with the model file in path."""
+    if kind == "uniform":
+        return UniformReference(len(vocab.payload_ids))
+    model = load_model_file(kind, path, vocab)
+    return NgramReference(model) if kind == "ngram" else LstmReference(model)
+
+
 def save_trf_bundle(model: TrfModel, path, potential_file: str,
                     vocab_file: str, reference_file: str | None = None) -> None:
     """The bundle references the potential parameter file and vocabulary by
@@ -136,13 +148,9 @@ def _bundle_from_doc(doc, base: str) -> TrfModel:
     vocab = load_vocabulary(resolve(doc, "vocab_file"))
     potential = load_model_file("potential", resolve(doc, "potential_file"), vocab)
     kind = ref.get("kind")
-    if kind == "uniform":
-        reference = UniformReference(len(vocab.payload_ids))
-    elif kind in ("ngram", "lstm"):
-        model = load_model_file(kind, resolve(ref, "file"), vocab)
-        reference = NgramReference(model) if kind == "ngram" else LstmReference(model)
-    else:
+    if kind not in REFERENCE_KINDS:
         raise ValueError(f"'reference' must name a known kind, not {kind!r}")
+    reference = load_reference(kind, None if kind == "uniform" else resolve(ref, "file"), vocab)
     return TrfModel(NeuralPotential(potential), _finite_vector(doc.get("zeta"), "'zeta'"),
                     LengthPrior(_finite_vector(doc.get("pi"), "'pi'")), reference, vocab,
                     doc.get("level", "word"))

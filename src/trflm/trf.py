@@ -134,6 +134,8 @@ def _length_space(model: TrfModel, l: int, budget: int, chunk: int = 8192):
     p = l - 2
     if p < 0:
         raise ValueError(f"no sequences of length {l} exist (minimum is 2)")
+    if l > model.max_len:
+        raise ValueError(f"length {l} is past the model's lengths 2..{model.max_len}")
     payload = np.array(sorted(model.vocab.payload_ids), dtype=np.int64)
     count = len(payload) ** p
     if count > budget:

@@ -6,7 +6,10 @@ import pytest
 
 from trflm import cli
 from trflm.cli import (ConfigError, ExperimentConfig, builtin_pilot_words,
-                       load_config, main, parse_config_text, split_pilot)
+                       load_config, main, nce_config, parse_config_text, split_pilot)
+from trflm.nce import NceConfig
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 MICRO_CONFIG = """\
@@ -30,10 +33,8 @@ nu = 2
 [training]
 batch_size = 4
 epochs = 2
-optimizer = adam
 lr_theta = 0.001
 lr_zeta = 0.01
-schedule = fixed
 seed = 0
 oracle_metrics = true
 
@@ -52,6 +53,14 @@ order = 3
 [output]
 dir = micro/out
 """
+
+
+def with_setting(section, key, value):
+    """MICRO_CONFIG with `key = value` in [section], in place of any line setting key."""
+    head, sep, tail = MICRO_CONFIG.partition(f"[{section}]\n")
+    body, _, rest = tail.partition("\n\n")
+    lines = [ln for ln in body.splitlines() if ln.split(" = ")[0] != key]
+    return head + sep + "\n".join(lines + [f"{key} = {value}"]) + "\n\n" + rest
 
 
 @pytest.fixture
@@ -103,6 +112,55 @@ def test_malformed_config_text_is_one_config_error(tmp_path, monkeypatch, capsys
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert "'bad.ini'" in err
+
+
+@pytest.mark.parametrize("path", ["configs/pilot.ini", "perfbench/configs/paper.ini",
+                                  "perfbench/configs/refs.ini"])
+def test_committed_configs_load(path):
+    # the benchmark runs these configs; a schema change that breaks one fails here
+    cfg = load_config(os.path.join(REPO, path), check_paths=False)
+    for section, pairs in cfg.raw.items():
+        for key in pairs:
+            cfg.get(section, key)
+    if "training" in cfg.raw:
+        assert isinstance(nce_config(cfg), NceConfig)
+
+
+@pytest.mark.parametrize("key,value", [("optimizer", "sgd"), ("schedule", "halve-each-epoch"),
+                                       ("optimizer_zeta", "adam"), ("oracle_budget", "5")])
+def test_training_recipe_takes_no_options(micro, capsys, key, value):
+    with open("micro.ini", "w") as f:
+        f.write(with_setting("training", key, value))
+    assert main(["train-trf", "-c", "micro.ini"]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("config error: ") and repr(key) in err and err.count("\n") == 1
+    assert not out and not os.path.exists("micro/out")
+
+
+@pytest.mark.parametrize("argv,setting,says", [
+    (["train-trf"], ("training", "epochs", "0"), "config error: epochs must be at least 1"),
+    (["train-trf"], ("training", "batch_size", "0"),
+     "config error: batch_size must be at least 1"),
+    (["train-trf"], ("training", "lr_theta", "1e300"),
+     "error: training diverged: non-finite gradient in 'emb' at step 1"),
+    (["train-lstm"], ("lstm", "batch_size", "0"),
+     "config error: key 'batch_size' in [lstm] must be at least 1"),
+    (["train-lstm"], ("lstm", "epochs", "0"),
+     "config error: key 'epochs' in [lstm] must be at least 1"),
+    (["make-pilot", "--out", "p", "--valid-every", "0"], None,
+     "error: --valid-every must be at least 1"),
+    (["gradcheck", "--seeds", "0"], None, "error: --seeds must be at least 1"),
+], ids=["training-epochs", "training-batch_size", "training-lr_theta", "lstm-batch_size",
+        "lstm-epochs", "valid-every", "seeds"])
+def test_bad_setting_is_one_error_line(micro, capsys, argv, setting, says):
+    if setting:
+        argv = argv + ["-c", "micro.ini"]
+        with open("micro.ini", "w") as f:
+            f.write(with_setting(*setting))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(says) and err.count("\n") == 1 and not out
+    assert not os.path.exists("micro/out") and not os.path.exists("p")   # no partial output
 
 
 def test_config_roundtrip_idempotent():
@@ -478,6 +536,12 @@ def trained_micro(tmp_path_factory):
     finally:
         os.chdir(cwd)
     return d / "micro" / "out"
+
+
+def test_enumerate_z_past_the_model_lengths(trained_micro, capsys):
+    assert main(["enumerate-z", "--model", str(trained_micro / "trf.json"), "--lengths", "6"]) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: length 6 is past the model's lengths 2..5\n" and not out
 
 
 @pytest.mark.parametrize("command", ["rescore", "enumerate-z"])

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -6,8 +5,8 @@ import pytest
 
 from conftest import TabularPotential
 from trflm.corpus import LengthPrior, Sequence, Vocabulary, encode
-from trflm.nce import (Adam, NceConfig, Sgd, classification_weights,
-                       nce_gradients, nce_objective, train)
+from trflm.nce import (Adam, NceConfig, classification_weights, nce_gradients,
+                       nce_objective, train)
 from trflm.ngram import train_ngram
 from trflm.noise import NoiseBatch, NoiseDistribution, draw_noise_batch, noise_logprob
 from trflm.seqnet import NeuralPotential, PotentialConfig, init_potential_params
@@ -222,12 +221,6 @@ def test_adam_matches_reference_formula():
     assert np.allclose(x, expect, atol=1e-9)
 
 
-def test_sgd_step():
-    x = np.array([2.0])
-    Sgd().step({"x": x}, {"x": np.array([0.5])}, lr=0.2)
-    assert x[0] == pytest.approx(1.9)
-
-
 def run_training(setting, seed=0, epochs=3, zeta_init="zeros"):
     vocab, pi, nd, data = setting
     params = init_potential_params(PotentialConfig(vocab_size=vocab.size, emb_dim=3,
@@ -235,35 +228,24 @@ def run_training(setting, seed=0, epochs=3, zeta_init="zeros"):
     model = TrfModel(NeuralPotential(params), zeta_init_vector(zeta_init, 4, vocab.size), pi,
                      UniformReference(3), vocab)
     cfg = NceConfig(nu=2, batch_size=2, epochs=epochs, seed=seed)
-    steps, epochs_log = io.StringIO(), io.StringIO()
-    train(model, nd, [s for s in data if len(s) > 2], cfg,
-          oracle_metrics=True, step_log=steps, epoch_log=epochs_log)
-    return model, steps.getvalue(), epochs_log.getvalue()
+    result = train(model, nd, [s for s in data if len(s) > 2], cfg, oracle_metrics=True)
+    return model, result
 
 
 def test_training_deterministic_in_strict_mode(setting):
-    m1, s1, e1 = run_training(setting)
-    m2, s2, e2 = run_training(setting)
-    assert s1 == s2 and e1 == e2
+    m1, r1 = run_training(setting)
+    m2, r2 = run_training(setting)
+    assert r1 == r2
     assert np.array_equal(m1.zeta, m2.zeta)
 
 
 def test_training_improves_objective_and_gap(setting):
     # start the normalizers far away (linear init) and watch them close in
-    model, steps_csv, epochs_csv = run_training(setting, epochs=300, zeta_init="linear")
-    lines = [ln.split(",") for ln in steps_csv.strip().splitlines()[1:]]
-    j = [float(r[2]) for r in lines]
+    _, result = run_training(setting, epochs=300, zeta_init="linear")
+    j = [stats.j for _, stats in result.steps]
     assert np.mean(j[-30:]) > np.mean(j[:30])
-    gaps = [float(ln.split(",")[5]) for ln in epochs_csv.strip().splitlines()[1:]]
+    gaps = [e.zeta_gap_sq for e in result.epochs]
     assert gaps[-1] < 0.25 * gaps[0]
-
-
-def test_halving_schedule():
-    cfg = NceConfig(schedule="halve-each-epoch", lr_theta=0.01, lr_zeta=0.01)
-    assert cfg.lr_at(0) == (0.01, 0.01)
-    assert cfg.lr_at(3) == (0.00125, 0.00125)
-    fixed = NceConfig(schedule="fixed", lr_theta=0.01, lr_zeta=0.02)
-    assert fixed.lr_at(5) == (0.01, 0.02)
 
 
 def test_config_validation():
@@ -271,8 +253,10 @@ def test_config_validation():
         NceConfig(nu=0)
     with pytest.raises(ValueError):
         NceConfig(lr_theta=0.0)
-    with pytest.raises(ValueError):
-        NceConfig(schedule="warmup")
+    with pytest.raises(ValueError, match="batch_size"):
+        NceConfig(batch_size=0)
+    with pytest.raises(ValueError, match="epochs"):
+        NceConfig(epochs=0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

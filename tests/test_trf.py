@@ -94,6 +94,8 @@ def test_length_space_errors(v4):
         next(_length_space(model, 1, budget=10))
     with pytest.raises(ValueError, match="needs 4 sequences, over the budget of 3"):
         next(_length_space(model, 4, budget=3))
+    with pytest.raises(ValueError, match=r"length 5 is past the model's lengths 2\.\.4"):
+        next(_length_space(model, 5, budget=10))
 
 
 def test_exact_log_z_is_zero_for_pure_reference(v4):

@@ -272,25 +272,29 @@ def cmd_train_lstm(args) -> int:
     params = init_lstm_lm_params(lstm_cfg, derive_rng(seed, "lstm-init"))
     rng = derive_rng(seed, "lstm-shuffle")
     lr = cfg.get("lstm", "lr")
+    if not lr > 0:
+        raise ConfigError(f"key 'lr' in [lstm] must be positive, got {lr}")
     bsz, epochs = cfg.get("lstm", "batch_size"), cfg.get("lstm", "epochs")
     for key, value in (("batch_size", bsz), ("epochs", epochs)):
         if value < 1:
             raise ConfigError(f"key {key!r} in [lstm] must be at least 1, got {value}")
-    out = _outdir(cfg)
     rows = ["epoch,train_nll,valid_nll"]
     for epoch in range(epochs):
         order = rng.permutation(len(train))
-        losses = []
-        for i in range(0, len(train), bsz):
-            batch = [train[j] for j in order[i:i + bsz]]
-            params, nll_step = lstm_lm_train_step(params, batch, lr)
-            losses.append(nll_step)
-        valid_nll = ""
-        if valid:
-            vals = [float(-lstm_lm_logprob_batch(params, ids).sum())
-                    for _, ids in corpus_mod.length_buckets(valid)]
-            valid_nll = fmt(sum(vals) / len(valid))
+        losses, valid_sums = [], []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(0, len(train), bsz):
+                batch = [train[j] for j in order[i:i + bsz]]
+                params, nll_step = lstm_lm_train_step(params, batch, lr)
+                losses.append(nll_step)
+            for _, ids in corpus_mod.length_buckets(valid or []):
+                valid_sums.append(float(-lstm_lm_logprob_batch(params, ids).sum()))
+        if not (np.isfinite(losses + valid_sums).all()
+                and all(np.isfinite(v).all() for v in params.tensors.values())):
+            raise Diverged(f"training diverged: non-finite loss or weights in epoch {epoch}")
+        valid_nll = fmt(sum(valid_sums) / len(valid)) if valid else ""
         rows.append(f"{epoch},{fmt(float(np.mean(losses)))},{valid_nll}")
+    out = _outdir(cfg)
     atomic_write_text(os.path.join(out, "metrics_epochs.csv"), "\n".join(rows) + "\n")
     corpus_mod.save_vocabulary(vocab, os.path.join(out, "vocab.txt"))
     serialize.save_lstm_lm(params, os.path.join(out, "lstm.json"))
@@ -457,6 +461,8 @@ def cmd_gradcheck(args) -> int:
     from . import gradcheck as gc
     if args.seeds < 1:
         raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
+    if not (args.step > 0 and math.isfinite(args.step)):
+        raise ValueError(f"--step must be positive and finite, got {args.step}")
     reports = gc.run_suite(range(args.seeds), args.step)
     worst = max(reports, key=lambda r: r.max_rel_error / r.threshold)
     for r in reports:

@@ -65,74 +65,86 @@ def relu_backward(dy, cache):
     return dy * (cache > 0.0)
 
 
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
+def _sigmoid_(z):
+    """z <- 1 / (1 + e^-z), in place."""
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    np.reciprocal(z, out=z)
 
 
 def lstm_forward(x, w, b):
     """Single-layer LSTM scan. x is (N, L, Cin); w is (Cin+d, 4d) over the
     concatenated [x_t, h_{t-1}] input; gate order along the 4d axis is
-    input, forget, candidate, output. Initial h and c are zero."""
+    input, forget, candidate, output. Initial h and c are zero.
+
+    The scan runs time-major and gate-major so that every elementwise step
+    works on contiguous memory. Before the loop one input projection
+    [x_t, 1] @ [W_x; b] fills an (L, 4, N, d) tensor; each step adds
+    h_{t-1} W_h to its (4, N, d) block and overwrites the block with the
+    gate activations, which the cache keeps with c, tanh c and h. The
+    returned h is an (N, L, d) view of the time-major states."""
     n, length, cin = x.shape
     d = w.shape[1] // 4
-    h = np.zeros((n, length, d))
-    zin = np.zeros((n, length, cin + d))     # concatenated step inputs
-    gi = np.zeros((n, length, d))
-    gf = np.zeros((n, length, d))
-    gg = np.zeros((n, length, d))
-    go = np.zeros((n, length, d))
-    c = np.zeros((n, length, d))
-    tc = np.zeros((n, length, d))
-    h_prev = np.zeros((n, d))
-    c_prev = np.zeros((n, d))
+    xt = np.empty((length, n, cin + 1))                  # [x_t, 1]
+    xt[..., :cin] = x.transpose(1, 0, 2)
+    xt[..., cin] = 1.0
+    wb = np.concatenate([w[:cin], b[None]]).reshape(cin + 1, 4, d).transpose(1, 0, 2)
+    w_h = w[cin:].reshape(d, 4, d).transpose(1, 0, 2)    # (4, d, d)
+    acts = np.matmul(xt[:, None], wb)
+    c = np.empty((length, n, d))
+    tc = np.empty((length, n, d))
+    h = np.empty((length, n, d))
     for t in range(length):
-        zin[:, t, :cin] = x[:, t, :]
-        zin[:, t, cin:] = h_prev
-        gates = zin[:, t, :] @ w + b
-        gi[:, t] = _sigmoid(gates[:, :d])
-        gf[:, t] = _sigmoid(gates[:, d:2 * d])
-        gg[:, t] = np.tanh(gates[:, 2 * d:3 * d])
-        go[:, t] = _sigmoid(gates[:, 3 * d:])
-        c[:, t] = gf[:, t] * c_prev + gi[:, t] * gg[:, t]
-        tc[:, t] = np.tanh(c[:, t])
-        h[:, t] = go[:, t] * tc[:, t]
-        h_prev = h[:, t]
-        c_prev = c[:, t]
-    cache = (zin, gi, gf, gg, go, c, tc, w, cin)
-    return h, cache
+        a = acts[t]
+        if t:
+            a += np.matmul(h[t - 1], w_h)
+        _sigmoid_(a[:2])                                  # i | f
+        np.tanh(a[2], out=a[2])                           # g
+        _sigmoid_(a[3])                                   # o
+        np.multiply(a[0], a[2], out=c[t])
+        if t:
+            c[t] += a[1] * c[t - 1]
+        np.tanh(c[t], out=tc[t])
+        np.multiply(a[3], tc[t], out=h[t])
+    cache = (xt, acts, c, tc, h, w)
+    return h.transpose(1, 0, 2), cache
 
 
 def lstm_backward(dh, cache):
     """Backpropagation through time; dh is the upstream gradient on every
-    hidden state (N, L, d)."""
-    zin, gi, gf, gg, go, c, tc, w, cin = cache
-    n, length, d = gi.shape
-    dx = np.zeros((n, length, cin))
-    dw = np.zeros_like(w)
-    db = np.zeros(w.shape[1])
-    dh_next = np.zeros((n, d))
-    dc_next = np.zeros((n, d))
+    hidden state (N, L, d). The weight, bias and input gradients are one
+    matmul or sum each over all steps, after the scan."""
+    xt, acts, c, tc, h, w = cache
+    length, n, cin = xt.shape
+    cin -= 1                                              # xt ends in a ones column
+    d = c.shape[2]
+    i, f, g, o = (acts[:, k] for k in range(4))
+    # Each gate's pre-activation gradient is dc_t (gates i, f, g) or dh_t
+    # (gate o) times a factor that needs no recurrence.
+    k = np.empty_like(acts)
+    np.multiply(g * i, 1.0 - i, out=k[:, 0])
+    k[0, 1] = 0.0                                         # c_{-1} = 0
+    np.multiply(c[:-1] * f[1:], 1.0 - f[1:], out=k[1:, 1])
+    np.multiply(i, 1.0 - g * g, out=k[:, 2])
+    np.multiply(tc * o, 1.0 - o, out=k[:, 3])
+    dc_dh = o * (1.0 - tc * tc)
+    dh = np.ascontiguousarray(dh.transpose(1, 0, 2))
+    dz = np.empty_like(acts)
+    w_h_t = w[cin:].reshape(d, 4, d).transpose(1, 2, 0)  # (4, d, d)
+    dh_next = dc_next = 0.0
     for t in reversed(range(length)):
-        dht = dh[:, t] + dh_next
-        do = dht * tc[:, t]
-        dc = dc_next + dht * go[:, t] * (1.0 - tc[:, t] ** 2)
-        c_prev = c[:, t - 1] if t > 0 else np.zeros((n, d))
-        di = dc * gg[:, t]
-        dg = dc * gi[:, t]
-        df = dc * c_prev
-        dc_next = dc * gf[:, t]
-        dgates = np.concatenate([
-            di * gi[:, t] * (1.0 - gi[:, t]),
-            df * gf[:, t] * (1.0 - gf[:, t]),
-            dg * (1.0 - gg[:, t] ** 2),
-            do * go[:, t] * (1.0 - go[:, t]),
-        ], axis=1)
-        dw += zin[:, t].T @ dgates
-        db += dgates.sum(axis=0)
-        dzin = dgates @ w.T
-        dx[:, t] = dzin[:, :cin]
-        dh_next = dzin[:, cin:]
-    return dx, dw, db
+        dht = dh[t] + dh_next
+        dc = dht * dc_dh[t] + dc_next
+        np.multiply(k[t, :3], dc, out=dz[t, :3])
+        np.multiply(k[t, 3], dht, out=dz[t, 3])
+        dc_next = dc * f[t]
+        dh_next = np.matmul(dz[t], w_h_t).sum(axis=0)
+    flat = dz.transpose(0, 2, 1, 3).reshape(length * n, 4 * d)
+    dxb = xt.reshape(length * n, cin + 1).T @ flat        # [dW_x; db]
+    dw = np.concatenate([dxb[:cin], h[:-1].reshape(-1, d).T @ flat[n:]])
+    dx = (flat @ w[:cin].T).reshape(length, n, cin).transpose(1, 0, 2)
+    return dx, dw, dxb[cin]
 
 
 def embedding_forward(table, ids):

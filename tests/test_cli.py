@@ -147,11 +147,20 @@ def test_training_recipe_takes_no_options(micro, capsys, key, value):
      "config error: key 'batch_size' in [lstm] must be at least 1"),
     (["train-lstm"], ("lstm", "epochs", "0"),
      "config error: key 'epochs' in [lstm] must be at least 1"),
+    (["train-lstm"], ("lstm", "lr", "nan"), "config error: key 'lr' in [lstm] must be positive"),
+    (["train-lstm"], ("lstm", "lr", "-0.5"), "config error: key 'lr' in [lstm] must be positive"),
+    (["train-lstm"], ("lstm", "lr", "inf"),
+     "error: training diverged: non-finite loss or weights in epoch 0"),
     (["make-pilot", "--out", "p", "--valid-every", "0"], None,
      "error: --valid-every must be at least 1"),
     (["gradcheck", "--seeds", "0"], None, "error: --seeds must be at least 1"),
+    (["gradcheck", "--seeds", "1", "--step", "0"], None,
+     "error: --step must be positive and finite"),
+    (["gradcheck", "--seeds", "1", "--step", "nan"], None,
+     "error: --step must be positive and finite"),
 ], ids=["training-epochs", "training-batch_size", "training-lr_theta", "lstm-batch_size",
-        "lstm-epochs", "valid-every", "seeds"])
+        "lstm-epochs", "lstm-lr-nan", "lstm-lr-negative", "lstm-lr-diverges", "valid-every",
+        "seeds", "step-zero", "step-nan"])
 def test_bad_setting_is_one_error_line(micro, capsys, argv, setting, says):
     if setting:
         argv = argv + ["-c", "micro.ini"]

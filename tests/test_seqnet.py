@@ -130,6 +130,92 @@ def test_lstm_layer_gradient():
     assert max(errs.values()) < 1e-6
 
 
+# The step-by-step LSTM scan over concatenated [x_t, h_{t-1}] inputs, with
+# per-gate caches: the reference the time-major, gate-major kernel must match.
+
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def reference_lstm_forward(x, w, b):
+    n, length, cin = x.shape
+    d = w.shape[1] // 4
+    h = np.zeros((n, length, d))
+    zin = np.zeros((n, length, cin + d))
+    gi, gf, gg, go, c, tc = (np.zeros((n, length, d)) for _ in range(6))
+    h_prev = np.zeros((n, d))
+    c_prev = np.zeros((n, d))
+    for t in range(length):
+        zin[:, t, :cin] = x[:, t, :]
+        zin[:, t, cin:] = h_prev
+        gates = zin[:, t, :] @ w + b
+        gi[:, t] = _sigmoid(gates[:, :d])
+        gf[:, t] = _sigmoid(gates[:, d:2 * d])
+        gg[:, t] = np.tanh(gates[:, 2 * d:3 * d])
+        go[:, t] = _sigmoid(gates[:, 3 * d:])
+        c[:, t] = gf[:, t] * c_prev + gi[:, t] * gg[:, t]
+        tc[:, t] = np.tanh(c[:, t])
+        h[:, t] = go[:, t] * tc[:, t]
+        h_prev = h[:, t]
+        c_prev = c[:, t]
+    return h, (zin, gi, gf, gg, go, c, tc, w, cin)
+
+
+def reference_lstm_backward(dh, cache):
+    zin, gi, gf, gg, go, c, tc, w, cin = cache
+    n, length, d = gi.shape
+    dx = np.zeros((n, length, cin))
+    dw = np.zeros_like(w)
+    db = np.zeros(w.shape[1])
+    dh_next = np.zeros((n, d))
+    dc_next = np.zeros((n, d))
+    for t in reversed(range(length)):
+        dht = dh[:, t] + dh_next
+        do = dht * tc[:, t]
+        dc = dc_next + dht * go[:, t] * (1.0 - tc[:, t] ** 2)
+        c_prev = c[:, t - 1] if t > 0 else np.zeros((n, d))
+        di = dc * gg[:, t]
+        dg = dc * gi[:, t]
+        df = dc * c_prev
+        dc_next = dc * gf[:, t]
+        dgates = np.concatenate([
+            di * gi[:, t] * (1.0 - gi[:, t]),
+            df * gf[:, t] * (1.0 - gf[:, t]),
+            dg * (1.0 - gg[:, t] ** 2),
+            do * go[:, t] * (1.0 - go[:, t]),
+        ], axis=1)
+        dw += zin[:, t].T @ dgates
+        db += dgates.sum(axis=0)
+        dzin = dgates @ w.T
+        dx[:, t] = dzin[:, :cin]
+        dh_next = dzin[:, cin:]
+    return dx, dw, db
+
+
+@pytest.mark.parametrize("n,length,cin,d", [
+    (8, 5, 16, 16),   # a potential's BLSTM direction
+    (10, 4, 12, 24),  # the LSTM LM of the rescoring references: Cin != d
+    (6, 1, 3, 5),     # length 1, the LSTM LM's shortest input
+    (1, 6, 5, 4),     # N = 1
+    (1, 1, 4, 2),
+])
+def test_lstm_matches_reference_scan(n, length, cin, d):
+    rng = np.random.default_rng([n, length, cin, d])
+    x = rng.normal(size=(n, length, cin))
+    w = rng.uniform(-0.8, 0.8, (cin + d, 4 * d))
+    b = rng.uniform(-0.5, 0.5, 4 * d)
+    dh = rng.normal(size=(n, length, d))
+    dh_before = dh.copy()
+    h_ref, cache_ref = reference_lstm_forward(x, w, b)
+    h, cache = lstm_forward(x, w, b)
+    assert h.shape == (n, length, d)
+    assert np.max(np.abs(h - h_ref)) < 1e-13
+    for got, want in zip(lstm_backward(dh, cache), reference_lstm_backward(dh, cache_ref)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.array_equal(dh, dh_before)
+
+
 def test_conv_layer_gradient():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(2, 5, 3))

@@ -1,10 +1,13 @@
 import itertools
 import math
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import TabularPotential
+from trflm import trf
 from trflm.corpus import LengthPrior, Sequence, Vocabulary, encode
 from trflm.ngram import train_ngram
 from trflm.seqnet import NeuralPotential, PotentialConfig, init_potential_params
@@ -12,6 +15,7 @@ from trflm.trf import (LstmReference, NgramReference, TrfModel,
                        UniformReference, _length_space, exact_log_z, exact_zeta,
                        log_joint, nll, total_mass, with_exact_zeta, zeta_gap,
                        zeta_init_vector)
+from trflm.util import logsumexp
 
 
 def zeroed_neural(vocab_size=5, **kw):
@@ -73,7 +77,8 @@ def test_log_joint_matches_independent_reimplementation():
 
 @pytest.mark.parametrize("payload_len", range(4))
 def test_length_space_matches_itertools_product(payload_len):
-    # 21 payload symbols: length 5 spans two chunks (8192 + 1069 rows)
+    # 21 payload symbols: length 5 (9261 rows) spans several chunks and ends
+    # in a partial one
     vocab = Vocabulary(("<s>", "</s>", "<unk>") + tuple(f"w{i}" for i in range(20)))
     l = payload_len + 2
     model = TrfModel(zeroed_neural(vocab.size), np.zeros(l), LengthPrior(np.eye(l)[l - 1]),
@@ -82,9 +87,48 @@ def test_length_space_matches_itertools_product(payload_len):
     expect = np.array([(vocab.bos, *p, vocab.eos) for p in payloads], dtype=np.int64)
     chunks = list(_length_space(model, l, budget=len(payloads)))
     assert [len(c) for c in chunks] == [len(c) for c in np.array_split(
-        expect, range(8192, len(expect), 8192))]
+        expect, range(trf._CHUNK_ROWS, len(expect), trf._CHUNK_ROWS))]
     assert all(c.dtype == np.int64 for c in chunks)
     assert np.array_equal(np.concatenate(chunks), expect)
+
+
+def pilot_shaped_model(payload_size=27, max_len=5, seed=0):
+    """The pilot's shape: a BLSTM potential of width 16 over a uniform
+    reference, every length 2..max_len supported."""
+    vocab = Vocabulary(("<s>", "</s>", "<unk>")
+                       + tuple(f"w{i}" for i in range(payload_size - 1)))
+    params = init_potential_params(
+        PotentialConfig(vocab_size=vocab.size, emb_dim=16, hidden_dim=16), seed)
+    pi = LengthPrior(np.array([0.0] + [1.0 / (max_len - 1)] * (max_len - 1)))
+    return TrfModel(NeuralPotential(params), np.zeros(max_len), pi,
+                    UniformReference(len(vocab.payload_ids)), vocab)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, trf._CHUNK_ROWS, 6 ** 3])
+def test_exact_log_z_does_not_depend_on_chunking(monkeypatch, chunk):
+    # 6 payload symbols: 216 rows at length 5, scored here in one batch
+    model = pilot_shaped_model(payload_size=6, seed=3)
+    payload = sorted(model.vocab.payload_ids)
+    monkeypatch.setattr(trf, "_CHUNK_ROWS", chunk)
+    for l in model.supported_lengths:
+        ids = np.array([(model.vocab.bos, *p, model.vocab.eos)
+                        for p in itertools.product(payload, repeat=l - 2)])
+        whole = logsumexp(model.reference.log_q_batch(ids) + model.potential.phi_batch(ids))
+        assert abs(exact_log_z(model, l) - whole) < 1e-12
+
+
+def test_exact_zeta_memory_is_bounded():
+    # Streamed in 512-row chunks, exact_zeta of the pilot's shape peaks at
+    # 6.7 MB of numpy allocations; in 8192-row chunks it peaked at 118 MB.
+    model = pilot_shaped_model()
+    assert len(model.vocab.payload_ids) == 27
+    tracemalloc.start()
+    try:
+        exact_zeta(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_length_space_errors(v4):

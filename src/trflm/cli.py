@@ -229,8 +229,7 @@ def cmd_make_pilot(args) -> int:
             seen.add(w)
             words.append(w)
     if not words:
-        print("no words of the requested length in the input list", file=sys.stderr)
-        return 2
+        raise ValueError("no words of the requested length in the input list")
     train, valid = split_pilot(words, args.valid_every)
     os.makedirs(args.out, exist_ok=True)
     atomic_write_text(os.path.join(args.out, "train.txt"), "".join(w + "\n" for w in train))
@@ -248,10 +247,13 @@ def cmd_train_ngram(args) -> int:
     corpus_mod.save_vocabulary(vocab, os.path.join(out, "vocab.txt"))
     ngram_mod.save_ngram(model, os.path.join(out, "ngram.json"))
     ngram_mod.export_arpa(model, vocab, os.path.join(out, "ngram.arpa"))
-    train_lp = sum(ngram_mod.logprob_sentence(model, s) for s in train) / len(train)
-    valid_lp = ""
-    if valid:
-        valid_lp = fmt(sum(ngram_mod.logprob_sentence(model, s) for s in valid) / len(valid))
+
+    def mean_logprob(seqs):
+        return sum(float(ngram_mod.logprob_sentence(model, np.array([s.ids]))[0])
+                   for s in seqs) / len(seqs)
+
+    train_lp = mean_logprob(train)
+    valid_lp = fmt(mean_logprob(valid)) if valid else ""
     atomic_write_text(os.path.join(out, "metrics.csv"),
                       "order,train_sentences,train_logprob_per_sentence,valid_logprob_per_sentence\n"
                       f"{model.order},{len(train)},{fmt(train_lp)},{valid_lp}\n")
@@ -278,6 +280,8 @@ def cmd_train_lstm(args) -> int:
     for key, value in (("batch_size", bsz), ("epochs", epochs)):
         if value < 1:
             raise ConfigError(f"key {key!r} in [lstm] must be at least 1, got {value}")
+    initial_nll = -sum(float(lstm_lm_logprob_batch(params, ids).sum())
+                       for _, ids in corpus_mod.length_buckets(train)) / len(train)
     rows = ["epoch,train_nll,valid_nll"]
     for epoch in range(epochs):
         order = rng.permutation(len(train))
@@ -292,8 +296,12 @@ def cmd_train_lstm(args) -> int:
         if not (np.isfinite(losses + valid_sums).all()
                 and all(np.isfinite(v).all() for v in params.tensors.values())):
             raise Diverged(f"training diverged: non-finite loss or weights in epoch {epoch}")
+        train_nll = float(np.mean(losses))
+        if train_nll > 2 * initial_nll:
+            raise Diverged(f"training diverged: train NLL {fmt(train_nll)} in epoch {epoch} "
+                           f"is over twice the initial {fmt(initial_nll)}")
         valid_nll = fmt(sum(valid_sums) / len(valid)) if valid else ""
-        rows.append(f"{epoch},{fmt(float(np.mean(losses)))},{valid_nll}")
+        rows.append(f"{epoch},{fmt(train_nll)},{valid_nll}")
     out = _outdir(cfg)
     atomic_write_text(os.path.join(out, "metrics_epochs.csv"), "\n".join(rows) + "\n")
     corpus_mod.save_vocabulary(vocab, os.path.join(out, "vocab.txt"))
@@ -374,7 +382,10 @@ def cmd_eval(args) -> int:
 
 def cmd_enumerate_z(args) -> int:
     model = serialize.load_trf_bundle(args.model)
-    lengths = [int(l) for l in args.lengths] if args.lengths else list(model.supported_lengths)
+    try:
+        lengths = [int(l) for l in args.lengths or model.supported_lengths]
+    except ValueError:
+        raise ValueError(f"--lengths must be integers, got {' '.join(args.lengths)}") from None
     zs = exact_zeta(model, lengths, args.budget)
     for l in lengths:
         stored = float(model.zeta[l - 1])

@@ -107,8 +107,7 @@ def write_refs_file(refs: dict, path) -> None:
 # logprob_batch(texts) -> (n,) float64 array.
 
 class _Scorer:
-    """Scores the texts' length buckets with self._score(ids) -> (N,), unless a
-    subclass overrides logprob_batch."""
+    """Scores the texts' length buckets with self._score(ids) -> (N,)."""
 
     def logprob_batch(self, texts) -> np.ndarray:
         seqs = [encode(t, self.vocab, True, self.level) for t in texts]
@@ -128,10 +127,8 @@ class NgramScorer(_Scorer):
     def __init__(self, model: ngram_mod.NGramModel, vocab: Vocabulary, level: str = "word"):
         self.model, self.vocab, self.level = model, vocab, level
 
-    def logprob_batch(self, texts) -> np.ndarray:
-        seqs = [encode(t, self.vocab, True, self.level) for t in texts]
-        return np.array([ngram_mod.logprob_sentence(self.model, x) for x in seqs],
-                        dtype=np.float64)
+    def _score(self, ids: np.ndarray) -> np.ndarray:
+        return ngram_mod.logprob_sentence(self.model, ids)
 
 
 class LstmScorer(_Scorer):
@@ -322,7 +319,6 @@ def make_nbest_benchmark(source: ngram_mod.NGramModel, vocab: Vocabulary,
     reference plus payload corruptions, with acoustic scores that degrade with
     the number of injected errors. Corruption keeps payload lengths within the
     prior's support."""
-    from .ngram import sample_fixed_length
     sep = " " if level == "word" else ""
     # the unknown symbol never appears in real hypothesis text
     payload = [i for i in range(vocab.size)
@@ -341,10 +337,10 @@ def make_nbest_benchmark(source: ngram_mod.NGramModel, vocab: Vocabulary,
     for u in range(n_utts):
         while True:
             l = int(rng.choice(length_prior.m, p=length_prior.probs)) + 1
-            seq, _ = sample_fixed_length(source, l, rng)
-            if l > 2 and vocab.unk not in seq.ids:   # nonempty, renderable reference
+            (ids,), _ = ngram_mod.sample_fixed_length(source, rng.random((1, l - 2)))
+            if l > 2 and vocab.unk not in ids:   # nonempty, renderable reference
                 break
-        ref_ids = list(seq.ids[1:-1])
+        ref_ids = ids[1:-1].tolist()
         refs[f"{tag}{u:04d}"] = to_text(ref_ids)
         seen = {tuple(ref_ids)}
         hyps = [(ref_ids, 0)]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Sequence, Vocabulary
+from .corpus import Vocabulary
 from .util import atomic_write_text, parse_json_file
 
 FORMAT_VERSION = 1
@@ -34,6 +34,7 @@ class NGramModel:
     tables: dict[int, dict[tuple, Counter]]
     discounts: dict[int, float]
     _dist_cache: dict[tuple, np.ndarray] = field(default_factory=dict, repr=False)
+    _rows: dict[tuple, np.ndarray] = field(default_factory=dict, repr=False)
 
     def conditional_dist(self, context) -> np.ndarray:
         """P(. | context) over all vocab_size next symbols; sums to 1 exactly."""
@@ -68,14 +69,21 @@ class NGramModel:
         D = self.discounts[k]
         return (np.maximum(vec - D, 0.0) + D * types * lower) / total
 
-
-def _events(seq: Sequence, order: int, bos: int):
-    """(context, target) pairs: every symbol after the initial begin, with
-    an (order-1)-length context left-padded by begin symbols."""
-    ext = (bos,) * max(order - 2, 0) + tuple(seq.ids)
-    start = max(order - 1, 1)
-    for j in range(start, len(ext)):
-        yield ext[j - order + 1: j], ext[j]
+    def table_row(self, ctx: tuple, payload: bool) -> np.ndarray:
+        """Built once per (order-1)-long context: P(. | ctx) as a (1, V) row, or
+        with payload set the (2, V) CDF, built as Generator.choice builds it,
+        and probabilities of the renormalized payload restriction."""
+        row = self._rows.get((payload, ctx))
+        if row is None:
+            row = self.conditional_dist(ctx)[None]
+            if payload:
+                p = row[0].copy()
+                p[self.bos] = p[self.eos] = 0.0
+                p /= p.sum()
+                cdf = p.cumsum()
+                row = np.array([cdf / cdf[-1], p])
+            self._rows[(payload, ctx)] = row
+        return row
 
 
 def train_ngram(dataset, order: int, vocab: Vocabulary) -> NGramModel:
@@ -85,9 +93,10 @@ def train_ngram(dataset, order: int, vocab: Vocabulary) -> NGramModel:
         raise ValueError("empty dataset")
     tables: dict[int, dict[tuple, Counter]] = {k: {} for k in range(1, order + 1)}
     top = tables[order]
-    for seq in dataset:
-        for ctx, w in _events(seq, order, vocab.bos):
-            top.setdefault(ctx, Counter())[w] += 1
+    for seq in dataset:   # every symbol after begin, in its begin-padded context
+        ext = (vocab.bos,) * max(order - 2, 0) + tuple(seq.ids)
+        for j in range(max(order - 1, 1), len(ext)):
+            top.setdefault(ext[j - order + 1: j], Counter())[ext[j]] += 1
     # continuation counts: distinct one-longer contexts per (ctx, w)
     for k in range(order - 1, 0, -1):
         lower = tables[k]
@@ -107,75 +116,54 @@ def train_ngram(dataset, order: int, vocab: Vocabulary) -> NGramModel:
     return NGramModel(order, vocab.size, vocab.bos, vocab.eos, tables, discounts)
 
 
-def _check_boundaries(model: NGramModel, seq: Sequence) -> None:
-    ids = seq.ids
-    if len(ids) == 0:
+def _check_boundaries(model: NGramModel, ids: np.ndarray) -> None:
+    if ids.shape[1] == 0:
         raise ValueError("cannot score a length-0 sequence")
-    if len(ids) < 2 or ids[0] != model.bos or ids[-1] != model.eos:
+    if ids.shape[1] < 2 or (ids[:, 0] != model.bos).any() or (ids[:, -1] != model.eos).any():
         raise ValueError("sequence must be [begin, payload..., end]")
-    if any(i in (model.bos, model.eos) for i in ids[1:-1]):
+    if ((ids[:, 1:-1] == model.bos) | (ids[:, 1:-1] == model.eos)).any():
         raise ValueError("boundary symbol inside payload")
 
 
-def _padded_context(prefix, order: int, bos: int) -> tuple:
-    """Last order-1 symbols of the begin-padded prefix (training convention)."""
-    if order == 1:
-        return ()
-    return ((bos,) * (order - 1) + tuple(prefix))[-(order - 1):]
-
-
-def payload_conditional_dist(model: NGramModel, context) -> np.ndarray:
-    """Conditional over payload symbols only (boundaries excluded), renormalized."""
-    dist = np.array(model.conditional_dist(context))
-    dist[model.bos] = 0.0
-    dist[model.eos] = 0.0
-    return dist / dist.sum()
-
-
-def logprob_fixed_length(model: NGramModel, x: Sequence) -> float:
-    """log p_n(x^l) for the given-length restriction of the model.
-
-    Interior conditionals are renormalized over payload symbols; the final
-    position is the end symbol with probability 1 (the length is given, so the
-    stop decision carries no mass). Summed over all payload combinations of a
-    length this is exactly 1.
-    """
-    _check_boundaries(model, x)
-    ids = x.ids
-    lp = 0.0
-    for i in range(1, len(ids) - 1):
-        dist = payload_conditional_dist(model, _padded_context(ids[:i], model.order, model.bos))
-        lp += float(np.log(dist[ids[i]]))
+def _walk(model: NGramModel, ids: np.ndarray, payload: bool, u=None) -> np.ndarray:
+    """Sum of log P(symbol | context) over the (N, l) ids, one column at a time
+    from table_row: the payload columns under the payload restriction, each
+    first drawn into ids with the (N, l-2) uniforms u when given, as
+    Generator.choice draws; else every column after begin, unrestricted."""
+    n, l = ids.shape
+    k = model.order - 1
+    ext = np.concatenate([np.full((n, k), model.bos, ids.dtype), ids], axis=1)   # begin-padded
+    lp = np.zeros(n)
+    for j in range(1, l - 1 if payload else l):
+        contexts = map(tuple, ext[:, j:j + k].tolist())
+        rows = np.array([model.table_row(c, payload) for c in contexts])
+        if u is not None:   # the first CDF entry above the uniform
+            ext[:, j + k] = ids[:, j] = (rows[:, 0] > u[:, j - 1, None]).argmax(axis=1)
+        lp += np.log(rows[np.arange(n), -1, ext[:, j + k]])
     return lp
 
 
-def sample_fixed_length(model: NGramModel, l: int,
-                        rng: np.random.Generator) -> tuple[Sequence, float]:
-    """Draw a sequence of exact length l (boundaries included) from the
-    fixed-length restriction, with its log-probability. The log-probability
-    is summed from the conditionals drawn from, in the order
-    logprob_fixed_length sums them, so the two agree bit for bit."""
-    if l < 2:
-        raise ValueError(f"minimum sequence length is 2 ([begin, end]), got {l}")
-    ids = [model.bos]
-    lp = 0.0
-    for _ in range(l - 2):
-        dist = payload_conditional_dist(model, _padded_context(ids, model.order, model.bos))
-        w = int(rng.choice(model.vocab_size, p=dist))
-        ids.append(w)
-        lp += float(np.log(dist[w]))
-    ids.append(model.eos)
-    return Sequence(tuple(ids)), lp
+def logprob_fixed_length(model: NGramModel, ids: np.ndarray) -> np.ndarray:
+    """log p_n(x^l) of each (N, l) row under the given-length restriction: payload
+    conditionals renormalized, the end symbol certain. Sums to 1 over a length."""
+    _check_boundaries(model, ids)
+    return _walk(model, ids, True)
 
 
-def logprob_sentence(model: NGramModel, x: Sequence) -> float:
-    """Plain joint log-probability (predicts payload and the final end symbol,
-    no length restriction); the rescoring baseline score."""
-    _check_boundaries(model, x)
-    lp = 0.0
-    for ctx, w in _events(x, model.order, model.bos):
-        lp += float(np.log(model.conditional_dist(ctx)[w]))
-    return lp
+def sample_fixed_length(model: NGramModel, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(N, l) ids drawn from the length-l restriction with (N, l-2) uniforms, and
+    their log p, by the walk logprob_fixed_length scores with. rng.random's
+    uniforms taken row after row are those of one rng.choice per symbol."""
+    ids = np.full((u.shape[0], u.shape[1] + 2), model.bos, dtype=np.int64)
+    ids[:, -1] = model.eos
+    return ids, _walk(model, ids, True, u)
+
+
+def logprob_sentence(model: NGramModel, ids: np.ndarray) -> np.ndarray:
+    """Joint log-probability of each row of the (N, l) ids, the end symbol
+    predicted too (no length restriction); the rescoring baseline score."""
+    _check_boundaries(model, ids)
+    return _walk(model, ids, False)
 
 
 # -- serialization ------------------------------------------------------------

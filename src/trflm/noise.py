@@ -20,17 +20,13 @@ class NoiseDistribution:
     length_prior: LengthPrior
     base: NGramModel
 
-    @property
-    def order(self) -> int:
-        return self.base.order
-
 
 def noise_logprob(nd: NoiseDistribution, x: Sequence) -> float:
     """log p_n(l, x^l); -inf exactly when the length has zero prior mass."""
     lp_len = nd.length_prior.log_prob(len(x))
     if lp_len == -np.inf:
         return -np.inf
-    return lp_len + logprob_fixed_length(nd.base, x)
+    return lp_len + float(logprob_fixed_length(nd.base, np.array([x.ids]))[0])
 
 
 @dataclass(frozen=True)
@@ -48,7 +44,16 @@ def draw_noise_batch(nd: NoiseDistribution, data_batch_size: int, nu: int,
         raise ValueError(f"nu must be >= 1, got {nu}")
     n = data_batch_size * nu
     lengths = rng.choice(nd.length_prior.m, size=n, p=nd.length_prior.probs) + 1
-    draws = [sample_fixed_length(nd.base, int(l), rng) for l in lengths]
-    log_pn = np.array([nd.length_prior.log_prob(len(s)) + lp for s, lp in draws])
-    return NoiseBatch(tuple(s for s, _ in draws), log_pn, nu)
-
+    if (lengths < 2).any():
+        raise ValueError("minimum sequence length is 2 ([begin, end]), got 1")
+    # one uniform per payload symbol, row after row: row i's end just before ends[i]
+    u = rng.random(int((lengths - 2).sum()))
+    ends = np.cumsum(lengths - 2)
+    seqs, log_pn = [None] * n, np.empty(n)
+    for l in sorted(set(lengths.tolist())):   # np.unique imports numpy.ma: +1 MB of RSS
+        idx = np.flatnonzero(lengths == l)
+        ids, lp = sample_fixed_length(nd.base, u[ends[idx, None] + np.arange(2 - l, 0)])
+        log_pn[idx] = nd.length_prior.log_prob(l) + lp
+        for i, row in zip(idx, ids.tolist()):
+            seqs[i] = Sequence(tuple(row))
+    return NoiseBatch(tuple(seqs), log_pn, nu)

@@ -56,8 +56,7 @@ class NgramReference:
         self.model = model
 
     def log_q_batch(self, ids: np.ndarray) -> np.ndarray:
-        return np.array([ngram_mod.logprob_fixed_length(self.model, Sequence(tuple(row)))
-                         for row in ids])
+        return ngram_mod.logprob_fixed_length(self.model, ids)
 
 
 class LstmReference:

@@ -151,16 +151,20 @@ def test_training_recipe_takes_no_options(micro, capsys, key, value):
     (["train-lstm"], ("lstm", "lr", "-0.5"), "config error: key 'lr' in [lstm] must be positive"),
     (["train-lstm"], ("lstm", "lr", "inf"),
      "error: training diverged: non-finite loss or weights in epoch 0"),
+    (["train-lstm"], ("lstm", "lr", "1e6"), "error: training diverged: train NLL "),
+    (["train-lstm"], ("lstm", "lr", "1e300"), "error: training diverged: "),
     (["make-pilot", "--out", "p", "--valid-every", "0"], None,
      "error: --valid-every must be at least 1"),
+    (["make-pilot", "--out", "p", "--max-chars", "0"], None,
+     "error: no words of the requested length in the input list"),
     (["gradcheck", "--seeds", "0"], None, "error: --seeds must be at least 1"),
     (["gradcheck", "--seeds", "1", "--step", "0"], None,
      "error: --step must be positive and finite"),
     (["gradcheck", "--seeds", "1", "--step", "nan"], None,
      "error: --step must be positive and finite"),
 ], ids=["training-epochs", "training-batch_size", "training-lr_theta", "lstm-batch_size",
-        "lstm-epochs", "lstm-lr-nan", "lstm-lr-negative", "lstm-lr-diverges", "valid-every",
-        "seeds", "step-zero", "step-nan"])
+        "lstm-epochs", "lstm-lr-nan", "lstm-lr-negative", "lstm-lr-diverges", "lstm-lr-1e6",
+        "lstm-lr-1e300", "valid-every", "max-chars", "seeds", "step-zero", "step-nan"])
 def test_bad_setting_is_one_error_line(micro, capsys, argv, setting, says):
     if setting:
         argv = argv + ["-c", "micro.ini"]
@@ -551,6 +555,13 @@ def test_enumerate_z_past_the_model_lengths(trained_micro, capsys):
     assert main(["enumerate-z", "--model", str(trained_micro / "trf.json"), "--lengths", "6"]) == 2
     out, err = capsys.readouterr()
     assert err == "error: length 6 is past the model's lengths 2..5\n" and not out
+
+
+def test_enumerate_z_lengths_must_be_integers(trained_micro, capsys):
+    assert main(["enumerate-z", "--model", str(trained_micro / "trf.json"),
+                 "--lengths", "3", "abc"]) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: --lengths must be integers, got 3 abc\n" and not out
 
 
 @pytest.mark.parametrize("command", ["rescore", "enumerate-z"])

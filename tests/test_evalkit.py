@@ -212,7 +212,8 @@ def test_ngram_scorer_matches_sentence_logprob():
     data = [encode(w, vocab, level="char") for w in ("ab", "ba", "aa")]
     model = train_ngram(data, 2, vocab)
     scorer = NgramScorer(model, vocab, level="char")
-    assert scorer.logprob("ab") == logprob_sentence(model, encode("ab", vocab, level="char"))
+    assert scorer.logprob("ab") == logprob_sentence(
+        model, np.array([encode("ab", vocab, level="char").ids]))[0]
 
 
 def test_benchmark_generator_shapes(tiny_vocab):
@@ -253,7 +254,7 @@ def test_scorer_batches_match_per_row_scoring():
         return encode(t, vocab, level="char")
 
     per_row = {
-        "ngram": [logprob_sentence(ngram, encoded(t)) for t in texts],
+        "ngram": [logprob_sentence(ngram, np.array([encoded(t).ids]))[0] for t in texts],
         "lstm": [-np.inf if len(encoded(t)) > 5
                  else lstm_lm_logprob_batch(lstm, np.array([encoded(t).ids]))[0]
                  for t in texts],

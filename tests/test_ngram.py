@@ -4,11 +4,17 @@ import math
 import numpy as np
 import pytest
 
+from trflm.cli import builtin_pilot_words
 from trflm.corpus import Sequence, Vocabulary, build_vocabulary, encode
 from trflm.ngram import (export_arpa, load_ngram,
-                         logprob_fixed_length, logprob_sentence,
-                         payload_conditional_dist, sample_fixed_length,
+                         logprob_fixed_length, logprob_sentence, sample_fixed_length,
                          save_ngram, train_ngram)
+
+
+def row(*ids):
+    """One sequence as a one-row (1, l) batch."""
+    return np.array([ids], dtype=np.int64)
+
 
 # -- independent oracle: straight-from-definition interpolated KN -------------
 
@@ -131,14 +137,14 @@ def test_fixed_length_normalizes_per_length(vsize, order):
     for l in range(2, 5):
         total = 0.0
         for combo in itertools.product(vocab.payload_ids, repeat=l - 2):
-            total += math.exp(logprob_fixed_length(model, Sequence((vocab.bos,) + combo + (vocab.eos,))))
+            total += math.exp(logprob_fixed_length(model, row(vocab.bos, *combo, vocab.eos))[0])
         assert abs(total - 1.0) <= 1e-9
 
 
 def test_fixed_length_minimal_sequence_is_certain(tiny_vocab, toy_corpus):
     # only the end symbol is admissible after begin: probability 1, log 0
     model = train_ngram(toy_corpus, 2, tiny_vocab)
-    assert logprob_fixed_length(model, Sequence((tiny_vocab.bos, tiny_vocab.eos))) == 0.0
+    assert logprob_fixed_length(model, row(tiny_vocab.bos, tiny_vocab.eos))[0] == 0.0
 
 
 def test_fixed_length_hand_computed_chain(tiny_vocab, toy_corpus):
@@ -151,45 +157,59 @@ def test_fixed_length_hand_computed_chain(tiny_vocab, toy_corpus):
         probs = {u: oracle_prob(tables, discounts, tiny_vocab.size, ctx, u) for u in payload}
         return probs[w] / sum(probs.values())
 
-    seq = Sequence((tiny_vocab.bos, a, b, tiny_vocab.eos))
+    seq = row(tiny_vocab.bos, a, b, tiny_vocab.eos)
     expect = math.log(renormed((tiny_vocab.bos,), a)) + math.log(renormed((a,), b))
-    assert logprob_fixed_length(model, seq) == pytest.approx(expect, rel=1e-12)
+    assert logprob_fixed_length(model, seq)[0] == pytest.approx(expect, rel=1e-12)
+
+
+def assert_rejects_malformed(score, model, vocab):
+    bos, eos, a = vocab.bos, vocab.eos, vocab.id_of("a")
+    with pytest.raises(ValueError, match="length-0"):
+        score(model, row())
+    for bad in (row(bos, bos, eos), row(bos, a, eos, eos)):
+        with pytest.raises(ValueError, match="boundary symbol inside payload"):
+            score(model, bad)
+    for bad in (row(a, a, eos), row(bos, a, a), row(bos), np.array([(bos, a, eos), (a, a, eos)])):
+        with pytest.raises(ValueError, match=r"\[begin, payload\.\.\., end\]"):
+            score(model, bad)
 
 
 def test_fixed_length_rejects_malformed(tiny_vocab, toy_corpus):
     model = train_ngram(toy_corpus, 2, tiny_vocab)
-    with pytest.raises(ValueError):
-        logprob_fixed_length(model, Sequence(()))
-    with pytest.raises(ValueError):
-        logprob_fixed_length(model, Sequence((tiny_vocab.bos, tiny_vocab.bos, tiny_vocab.eos)))
+    assert_rejects_malformed(logprob_fixed_length, model, tiny_vocab)
+
+
+def test_sentence_logprob_rejects_malformed(tiny_vocab, toy_corpus):
+    model = train_ngram(toy_corpus, 2, tiny_vocab)
+    assert_rejects_malformed(logprob_sentence, model, tiny_vocab)
 
 
 def test_sampler_deterministic(tiny_vocab, toy_corpus):
     model = train_ngram(toy_corpus, 2, tiny_vocab)
-    s1, lp1 = sample_fixed_length(model, 4, np.random.default_rng(42))
-    s2, lp2 = sample_fixed_length(model, 4, np.random.default_rng(42))
-    assert s1 == s2 and lp1 == lp2
+    s1, lp1 = sample_fixed_length(model, np.random.default_rng(42).random((1, 2)))
+    s2, lp2 = sample_fixed_length(model, np.random.default_rng(42).random((1, 2)))
+    assert s1.tolist() == s2.tolist() and lp1[0] == lp2[0]
 
 
 def test_sampler_minimal_length(tiny_vocab, toy_corpus):
     model = train_ngram(toy_corpus, 2, tiny_vocab)
-    s, lp = sample_fixed_length(model, 2, np.random.default_rng(0))
-    assert s.ids == (tiny_vocab.bos, tiny_vocab.eos) and lp == 0.0
+    s, lp = sample_fixed_length(model, np.random.default_rng(0).random((1, 0)))
+    assert s.tolist() == [[tiny_vocab.bos, tiny_vocab.eos]] and lp[0] == 0.0
 
 
 def test_sampler_matches_scorer_chisquare(tiny_vocab, toy_corpus):
     from scipy import stats
     model = train_ngram(toy_corpus, 2, tiny_vocab)
     l = 4
-    space = [Sequence((tiny_vocab.bos,) + c + (tiny_vocab.eos,))
+    space = [(tiny_vocab.bos,) + c + (tiny_vocab.eos,)
              for c in itertools.product(tiny_vocab.payload_ids, repeat=l - 2)]
-    probs = np.array([math.exp(logprob_fixed_length(model, s)) for s in space])
-    index = {s.ids: i for i, s in enumerate(space)}
+    probs = np.exp(logprob_fixed_length(model, np.array(space)))
+    index = {s: i for i, s in enumerate(space)}
     rng = np.random.default_rng(7)
     counts = np.zeros(len(space))
     n = 50_000
-    for _ in range(n):
-        counts[index[sample_fixed_length(model, l, rng)[0].ids]] += 1
+    for ids in sample_fixed_length(model, rng.random((n, l - 2)))[0].tolist():
+        counts[index[tuple(ids)]] += 1
     stat = float(((counts - n * probs) ** 2 / (n * probs)).sum())
     p = float(stats.chi2.sf(stat, df=len(space) - 1))
     assert p > 0.01
@@ -206,10 +226,10 @@ def test_count_increase_monotonicity(tiny_vocab):
             w = rng.choice(payload, size=int(rng.integers(1, 4)))
             words.append(Sequence((tiny_vocab.bos, *map(int, w), tiny_vocab.eos)))
         target = words[int(rng.integers(len(words)))]
-        base = logprob_fixed_length(train_ngram(words, 2, tiny_vocab), target)
+        base = logprob_fixed_length(train_ngram(words, 2, tiny_vocab), row(*target.ids))[0]
         for extra in (1, 2, 3):
             boosted = train_ngram(words + [target] * extra, 2, tiny_vocab)
-            lp = logprob_fixed_length(boosted, target)
+            lp = logprob_fixed_length(boosted, row(*target.ids))[0]
             assert lp >= base - 1e-12, f"trial {trial}: {lp} < {base}"
             base = lp
 
@@ -221,7 +241,111 @@ def test_sentence_logprob_sums_conditionals(tiny_vocab, toy_corpus):
     expect = (np.log(model.conditional_dist((tiny_vocab.bos,))[a])
               + np.log(model.conditional_dist((a,))[b])
               + np.log(model.conditional_dist((b,))[tiny_vocab.eos]))
-    assert logprob_sentence(model, seq) == pytest.approx(expect, rel=1e-12)
+    assert logprob_sentence(model, row(*seq.ids))[0] == pytest.approx(expect, rel=1e-12)
+
+
+# -- the column walk against the per-symbol loops it replaced -----------------
+
+
+def reference_payload_dist(model, prefix):
+    """The payload restriction after a begin-padded prefix, renormalized."""
+    ctx = ((model.bos,) * (model.order - 1) + tuple(prefix))[-(model.order - 1):] \
+        if model.order > 1 else ()
+    dist = np.array(model.conditional_dist(ctx))
+    dist[model.bos] = 0.0
+    dist[model.eos] = 0.0
+    return dist / dist.sum()
+
+
+def reference_sample_fixed_length(model, l, rng):
+    """One draw of length l with one rng.choice per payload symbol."""
+    ids = [model.bos]
+    lp = 0.0
+    for _ in range(l - 2):
+        dist = reference_payload_dist(model, ids)
+        w = int(rng.choice(model.vocab_size, p=dist))
+        ids.append(w)
+        lp += float(np.log(dist[w]))
+    ids.append(model.eos)
+    return tuple(ids), lp
+
+
+def reference_logprob_fixed_length(model, ids):
+    lp = 0.0
+    for i in range(1, len(ids) - 1):
+        lp += float(np.log(reference_payload_dist(model, ids[:i])[ids[i]]))
+    return lp
+
+
+def reference_logprob_sentence(model, ids):
+    ext = (model.bos,) * max(model.order - 2, 0) + tuple(ids)
+    lp = 0.0
+    for j in range(max(model.order - 1, 1), len(ext)):
+        lp += float(np.log(model.conditional_dist(ext[j - model.order + 1: j])[ext[j]]))
+    return lp
+
+
+def assert_walk_matches_reference(model, l, n, seed):
+    """Draws, recorded log p, scores and the generator state after the draw
+    are exactly those of the per-symbol loops."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    ids, lp = sample_fixed_length(model, rng.random((n, l - 2)))
+    draws = [reference_sample_fixed_length(model, l, ref_rng) for _ in range(n)]
+    assert ids.tolist() == [list(s) for s, _ in draws]
+    assert lp.tobytes() == np.array([p for _, p in draws]).tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert logprob_fixed_length(model, ids).tobytes() == lp.tobytes()
+    sentence = np.array([reference_logprob_sentence(model, s) for s, _ in draws])
+    assert logprob_sentence(model, ids).tobytes() == sentence.tobytes()
+
+
+@pytest.fixture(scope="module")
+def pilot():
+    words = builtin_pilot_words()
+    vocab = build_vocabulary(words, level="char")
+    return vocab, [encode(w, vocab, level="char") for w in words]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 5])
+def test_walk_matches_per_symbol_loops(pilot, order):
+    vocab, data = pilot
+    model = train_ngram(data, order, vocab)
+    for l in range(2, 6):
+        for seed in range(3):
+            assert_walk_matches_reference(model, l, 40, seed)
+    # rows of uniformly random payload, mostly in contexts the corpus never has
+    rng = np.random.default_rng(order)
+    for l in range(2, 6):
+        ids = np.column_stack([np.full(30, vocab.bos),
+                               rng.choice(vocab.payload_ids, size=(30, l - 2)),
+                               np.full(30, vocab.eos)])
+        fixed = [reference_logprob_fixed_length(model, tuple(r)) for r in ids.tolist()]
+        sentence = [reference_logprob_sentence(model, tuple(r)) for r in ids.tolist()]
+        assert logprob_fixed_length(model, ids).tobytes() == np.array(fixed).tobytes()
+        assert logprob_sentence(model, ids).tobytes() == np.array(sentence).tobytes()
+
+
+def test_walk_in_a_context_never_seen(tiny_vocab, toy_corpus):
+    model = train_ngram(toy_corpus, 3, tiny_vocab)
+    b = tiny_vocab.id_of("b")
+    assert (b, b) not in model.tables[3]
+    ids = row(tiny_vocab.bos, b, b, b, tiny_vocab.eos)
+    assert logprob_fixed_length(model, ids)[0] == reference_logprob_fixed_length(model, ids[0])
+    assert logprob_sentence(model, ids)[0] == reference_logprob_sentence(model, tuple(ids[0]))
+    for l in range(2, 6):
+        assert_walk_matches_reference(model, l, 50, l)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_walk_with_one_payload_symbol(order):
+    # V = 3: <unk> is the only payload symbol, so every draw is certain, yet
+    # each payload symbol still takes one uniform, as rng.choice does
+    vocab = Vocabulary(("<s>", "</s>", "<unk>"))
+    model = train_ngram([encode(w, vocab, level="char") for w in ("z", "zz", "")], order, vocab)
+    for l in range(2, 6):
+        assert_walk_matches_reference(model, l, 5, l)
+        ids, lp = sample_fixed_length(model, np.random.default_rng(0).random((5, l - 2)))
+        assert (ids[:, 1:-1] == vocab.unk).all() and (lp == 0.0).all()
 
 
 def test_serialization_roundtrip(tmp_path, tiny_vocab, toy_corpus):

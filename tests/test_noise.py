@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from trflm.corpus import LengthPrior, Sequence, Vocabulary, encode
+from trflm.cli import builtin_pilot_words
+from trflm.corpus import LengthPrior, Sequence, Vocabulary, build_vocabulary, encode
 from trflm.ngram import train_ngram
 from trflm.noise import NoiseDistribution, draw_noise_batch, noise_logprob
+
+from test_ngram import reference_sample_fixed_length
 
 
 @pytest.fixture
@@ -64,6 +67,38 @@ def test_same_seed_identical_batches(nd_tiny):
     b2 = draw_noise_batch(nd_tiny, 7, 3, np.random.default_rng(11))
     assert b1.sequences == b2.sequences
     assert np.array_equal(b1.log_pn, b2.log_pn)
+
+
+def reference_draw_noise_batch(nd, data_batch_size, nu, rng):
+    """Lengths in one draw, then each row's payload one rng.choice per symbol."""
+    n = data_batch_size * nu
+    lengths = rng.choice(nd.length_prior.m, size=n, p=nd.length_prior.probs) + 1
+    draws = [reference_sample_fixed_length(nd.base, int(l), rng) for l in lengths]
+    log_pn = np.array([nd.length_prior.log_prob(len(s)) + lp for s, lp in draws])
+    return [s for s, _ in draws], log_pn
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 5])
+def test_mixed_length_batches_match_per_symbol_draws(order):
+    words = builtin_pilot_words()
+    vocab = build_vocabulary(words, level="char")
+    base = train_ngram([encode(w, vocab, level="char") for w in words], order, vocab)
+    nd = NoiseDistribution(LengthPrior(np.array([0.0, 0.1, 0.2, 0.3, 0.25, 0.15])), base)
+    for seed, (size, nu) in enumerate([(10, 10), (1, 1), (7, 3), (0, 4)]):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        batch = draw_noise_batch(nd, size, nu, rng)
+        sequences, log_pn = reference_draw_noise_batch(nd, size, nu, ref_rng)
+        assert [s.ids for s in batch.sequences] == sequences
+        assert all(type(i) is int for s in batch.sequences for i in s.ids)
+        assert batch.log_pn.tobytes() == log_pn.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_length_one_noise_is_rejected(v2pay):
+    base = train_ngram([encode("a", v2pay, level="char")], 1, v2pay)
+    nd = NoiseDistribution(LengthPrior(np.array([0.5, 0.0, 0.5])), base)
+    with pytest.raises(ValueError, match="minimum sequence length is 2"):
+        draw_noise_batch(nd, 10, 1, np.random.default_rng(0))
 
 
 def test_recorded_log_pn_matches_recompute(tiny_vocab):

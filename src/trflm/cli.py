@@ -372,9 +372,7 @@ def cmd_eval(args) -> int:
         try:
             model = with_exact_zeta(model, lengths, args.budget)
         except ValueError as exc:
-            print(f"eval: {exc} (drop --exact-z to use the stored normalizers)",
-                  file=sys.stderr)
-            return 2
+            raise ValueError(f"{exc} (drop --exact-z to use the stored normalizers)") from None
     print(f"eval: sentences={len(data)} zeta={'exact' if args.exact_z else 'stored'} "
           f"nll={fmt(trf_nll(model, data))}")
     return 0
@@ -395,7 +393,6 @@ def cmd_enumerate_z(args) -> int:
 
 def _build_members(cfg: ExperimentConfig, vocab, level):
     members = []
-    names = []
     for entry in cfg.get("rescore", "members").split():
         kind, _, path = entry.partition(":")
         path = path if os.path.isabs(path) else os.path.join(cfg.base_dir, path)
@@ -412,8 +409,7 @@ def _build_members(cfg: ExperimentConfig, vocab, level):
             members.append(evalkit.TrfScorer(model, level))
         else:
             raise ConfigError(f"unknown member kind {kind!r} in [rescore] members")
-        names.append(kind)
-    return members, names
+    return members
 
 
 def _explicit_weights(text: str, n_members: int) -> tuple[float, ...]:
@@ -434,32 +430,28 @@ def cmd_rescore(args) -> int:
     cfg.require_section("rescore", "output")
     vocab = corpus_mod.load_vocabulary(cfg.path("rescore", "vocab"))
     level = cfg.get("rescore", "level")
-    members, names = _build_members(cfg, vocab, level)
+    members = _build_members(cfg, vocab, level)
     weights_cfg = cfg.get("rescore", "weights")
     weights = None if weights_cfg == "grid" else _explicit_weights(weights_cfg, len(members))
     nbests = evalkit.read_nbest_file(args.nbest)
     refs = evalkit.read_refs_file(args.refs)
     nbest_ids = {nb.utt_id for nb in nbests}
     if nbest_ids != set(refs):
-        missing = sorted(nbest_ids ^ set(refs))
-        print(f"rescore: utterance ids disagree between n-best and references: {missing}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"utterance ids disagree between n-best and references: "
+                         f"{sorted(nbest_ids ^ set(refs))}")
 
-    scores = evalkit.precompute_member_scores(members, nbests)
+    table = evalkit.precompute_member_scores(members, nbests)
+    if weights is None:
+        weights, _ = evalkit.grid_search_weights(table, nbests, refs)
+    corners = [tuple(1.0 if j == i else 0.0 for j in range(len(members)))
+               for i in range(len(members))]
     rows = ["model,weights,substitutions,insertions,deletions,ref_tokens,wer"]
-    for i, name in enumerate(names):
-        w = tuple(1.0 if j == i else 0.0 for j in range(len(members)))
-        best = evalkit.rescore_with_weights(members, w, nbests, scores)
+    # the combined row comes last: its picks are the ones best.txt holds
+    for name, w in [*zip((m.kind for m in members), corners), ("combined", weights)]:
+        best = evalkit.rescore_with_weights(table, w, nbests)
         r = evalkit.corpus_wer(refs, best)
         rows.append(f"{name},{'|'.join(map(fmt, w))},{r.substitutions},{r.insertions},"
                     f"{r.deletions},{r.ref_tokens},{fmt(r.rate)}")
-    if weights is None:
-        weights, _ = evalkit.grid_search_weights(members, nbests, refs, scores=scores)
-    best = evalkit.rescore_with_weights(members, weights, nbests, scores)
-    r = evalkit.corpus_wer(refs, best)
-    rows.append(f"combined,{'|'.join(map(fmt, weights))},{r.substitutions},{r.insertions},"
-                f"{r.deletions},{r.ref_tokens},{fmt(r.rate)}")
     out = _outdir(cfg)
     atomic_write_text(os.path.join(out, "wer_report.csv"), "\n".join(rows) + "\n")
     atomic_write_text(os.path.join(out, "best.txt"),

@@ -131,11 +131,10 @@ def build_vocabulary(corpus_lines, min_count: int = 1, max_size: int | None = No
     return Vocabulary(RESERVED + tuple(kept))
 
 
-def encode(line: str, vocab: Vocabulary, attach_boundaries: bool = True,
-           level: str = "word", max_len: int | None = None) -> Sequence:
-    ids = [vocab.id_of(t) for t in tokenize(line, level)]
-    if attach_boundaries:
-        ids = [vocab.bos] + ids + [vocab.eos]
+def encode(line: str, vocab: Vocabulary, level: str = "word",
+           max_len: int | None = None) -> Sequence:
+    """The line's tokens between the begin and end symbols."""
+    ids = [vocab.bos] + [vocab.id_of(t) for t in tokenize(line, level)] + [vocab.eos]
     if max_len is not None and len(ids) > max_len:
         raise ValueError(f"encoded length {len(ids)} exceeds maximum {max_len} "
                          f"for line: {line!r}")
@@ -144,7 +143,7 @@ def encode(line: str, vocab: Vocabulary, attach_boundaries: bool = True,
 
 def encode_corpus(lines, vocab: Vocabulary, level: str = "word",
                   max_len: int | None = None) -> list[Sequence]:
-    return [encode(ln, vocab, True, level, max_len) for ln in lines]
+    return [encode(ln, vocab, level, max_len) for ln in lines]
 
 
 def empirical_length_prior(dataset, m: int) -> LengthPrior:

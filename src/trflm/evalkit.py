@@ -40,7 +40,8 @@ class NBestList:
 
 
 def read_nbest_file(path) -> list[NBestList]:
-    """Malformed lines raise ValueError naming the file and the line."""
+    """Malformed lines raise ValueError naming the file and the line, and a
+    file without hypotheses one naming the file."""
     by_utt: dict[str, list[Hypothesis]] = {}
     order: list[str] = []
     for lineno, ln in enumerate(read_text(path, "n-best file").split("\n"), 1):
@@ -69,6 +70,8 @@ def read_nbest_file(path) -> list[NBestList]:
             by_utt[utt] = []
             order.append(utt)
         by_utt[utt].append(Hypothesis(" ".join(toks), acoustic, rank))
+    if not order:
+        raise ValueError(f"{path}: the n-best file holds no hypotheses")
     return [NBestList(u, tuple(sorted(by_utt[u], key=lambda h: h.rank)))
             for u in order]
 
@@ -110,7 +113,7 @@ class _Scorer:
     """Scores the texts' length buckets with self._score(ids) -> (N,)."""
 
     def logprob_batch(self, texts) -> np.ndarray:
-        seqs = [encode(t, self.vocab, True, self.level) for t in texts]
+        seqs = [encode(t, self.vocab, self.level) for t in texts]
         out = np.empty(len(seqs))
         for idx, ids in length_buckets(seqs):
             out[idx] = self._score(ids)
@@ -231,20 +234,10 @@ def _simplex_grid(k: int, step: float = 0.1):
         yield tuple(c / ticks for c in combo)
 
 
-def precompute_member_scores(members, nbests) -> dict[str, np.ndarray]:
-    """(n_hyps, n_members) member log-prob matrix per utterance. Each member
-    scores the hypotheses of all utterances in one logprob_batch call."""
-    texts = [h.text for nb in nbests for h in nb.hypotheses]
-    mat = np.column_stack([np.asarray(m.logprob_batch(texts), dtype=np.float64)
-                           for m in members])
-    ends = np.cumsum([len(nb.hypotheses) for nb in nbests])
-    return {nb.utt_id: block for nb, block in zip(nbests, np.split(mat, ends[:-1]))}
-
-
 @dataclass(frozen=True)
-class _Padded:
-    """N-best lists as (U, H) arrays padded to the longest list: member
-    scores (U, H, M), acoustic scores (0 for NA), ranks, and a mask of the
+class ScoreTable:
+    """Scored n-best lists as (U, H) arrays padded to the longest list: member
+    log-probs (U, H, M), acoustic scores (0 for NA), ranks, and a mask of the
     real hypotheses."""
     scores: np.ndarray
     acoustic: np.ndarray
@@ -252,57 +245,55 @@ class _Padded:
     real: np.ndarray
 
 
-def _pad(nbests, scores, n_members: int) -> _Padded:
-    u, h = len(nbests), max(len(nb.hypotheses) for nb in nbests)
-    padded = _Padded(np.zeros((u, h, n_members)), np.zeros((u, h)),
-                     np.zeros((u, h), dtype=np.int64), np.zeros((u, h), dtype=bool))
-    for i, nb in enumerate(nbests):
-        n = len(nb.hypotheses)
-        padded.scores[i, :n] = scores[nb.utt_id]
-        padded.acoustic[i, :n] = [0.0 if x.acoustic is None else x.acoustic
-                                  for x in nb.hypotheses]
-        padded.rank[i, :n] = [x.rank for x in nb.hypotheses]
-        padded.real[i, :n] = True
-    return padded
+def precompute_member_scores(members, nbests) -> ScoreTable:
+    """The score table of the n-best lists. Each member scores the hypotheses
+    of all utterances in one logprob_batch call; the mask's cells, read
+    row-major, are those hypotheses in order."""
+    hyps = [h for nb in nbests for h in nb.hypotheses]
+    lengths = np.array([len(nb.hypotheses) for nb in nbests])
+    real = np.arange(lengths.max()) < lengths[:, None]
+    table = ScoreTable(np.zeros(real.shape + (len(members),)), np.zeros(real.shape),
+                       np.zeros(real.shape, dtype=np.int64), real)
+    texts = [x.text for x in hyps]
+    table.scores[real] = np.column_stack(
+        [np.asarray(m.logprob_batch(texts), dtype=np.float64) for m in members])
+    table.acoustic[real] = [0.0 if x.acoustic is None else x.acoustic for x in hyps]
+    table.rank[real] = [x.rank for x in hyps]
+    return table
 
 
-def _pick(padded: _Padded, w: np.ndarray) -> np.ndarray:
+def _pick(table: ScoreTable, w: np.ndarray) -> np.ndarray:
     """Index of each utterance's best hypothesis under member weights w: the
     highest combined score, ties to the lowest rank; padding never wins."""
-    totals = np.zeros(padded.real.shape)
+    totals = np.zeros(table.real.shape)
     for m in np.flatnonzero(w):   # skip weight 0 so a -inf member score cannot poison it
-        totals += w[m] * padded.scores[:, :, m]
-    totals += padded.acoustic
-    top = np.where(padded.real, totals, -np.inf).max(axis=1, keepdims=True)
-    tied = padded.real & (totals == top)
-    return np.where(tied, padded.rank, np.iinfo(np.int64).max).argmin(axis=1)
+        totals += w[m] * table.scores[:, :, m]
+    totals += table.acoustic
+    top = np.where(table.real, totals, -np.inf).max(axis=1, keepdims=True)
+    tied = table.real & (totals == top)
+    return np.where(tied, table.rank, np.iinfo(np.int64).max).argmin(axis=1)
 
 
-def rescore_with_weights(members, weights, nbests, scores=None) -> dict[str, str]:
-    """Best hypothesis per utterance under the given member weights."""
-    if scores is None:
-        scores = precompute_member_scores(members, nbests)
-    picks = _pick(_pad(nbests, scores, len(members)), np.asarray(weights, dtype=np.float64))
+def rescore_with_weights(table: ScoreTable, weights, nbests) -> dict[str, str]:
+    """Best hypothesis per utterance of the table's n-best lists under the
+    given member weights."""
+    picks = _pick(table, np.asarray(weights, dtype=np.float64))
     return {nb.utt_id: nb.hypotheses[i].text for nb, i in zip(nbests, picks)}
 
 
-def grid_search_weights(members, nbests, refs, step: float = 0.1, scores=None):
+def grid_search_weights(table: ScoreTable, nbests, refs, step: float = 0.1):
     """Simplex grid search minimizing corpus WER; first minimizer wins. Each
     hypothesis's word errors are computed once."""
     if {nb.utt_id for nb in nbests} != set(refs):
         raise ValueError("n-best lists and references cover different utterances")
-    if scores is None:
-        scores = precompute_member_scores(members, nbests)
-    padded = _pad(nbests, scores, len(members))
-    errors = np.zeros(padded.real.shape, dtype=np.int64)
-    for i, nb in enumerate(nbests):
-        errors[i, :len(nb.hypotheses)] = [wer(refs[nb.utt_id], h.text).errors
-                                          for h in nb.hypotheses]
+    errors = np.zeros(table.real.shape, dtype=np.int64)
+    errors[table.real] = [wer(refs[nb.utt_id], h.text).errors
+                          for nb in nbests for h in nb.hypotheses]
     ref_tokens = sum(len(r.split()) for r in refs.values())
     rows = np.arange(len(nbests))
     best_w, best_rate = None, np.inf
-    for w in _simplex_grid(len(members), step):
-        rate = int(errors[rows, _pick(padded, np.asarray(w))].sum()) / ref_tokens
+    for w in _simplex_grid(table.scores.shape[2], step):
+        rate = int(errors[rows, _pick(table, np.asarray(w))].sum()) / ref_tokens
         if rate < best_rate - 1e-15:
             best_w, best_rate = w, rate
     return best_w, best_rate
@@ -312,13 +303,11 @@ def grid_search_weights(members, nbests, refs, step: float = 0.1, scores=None):
 
 def make_nbest_benchmark(source: ngram_mod.NGramModel, vocab: Vocabulary,
                          length_prior, rng: np.random.Generator, n_utts: int = 40,
-                         n_hyps: int = 8, level: str = "char",
-                         acoustic_scale: float = 1.0, acoustic_noise: float = 0.8,
-                         tag: str = "utt"):
+                         n_hyps: int = 8, level: str = "char", tag: str = "utt"):
     """References sampled from a known n-gram model; hypotheses are the
-    reference plus payload corruptions, with acoustic scores that degrade with
-    the number of injected errors. Corruption keeps payload lengths within the
-    prior's support."""
+    reference plus payload corruptions, with acoustic scores that lose one per
+    injected error, plus N(0, 0.8^2) noise. Corruption keeps payload lengths
+    within the prior's support."""
     sep = " " if level == "word" else ""
     # the unknown symbol never appears in real hypothesis text
     payload = [i for i in range(vocab.size)
@@ -367,7 +356,7 @@ def make_nbest_benchmark(source: ngram_mod.NGramModel, vocab: Vocabulary,
                 hyps.append((ids, n_edits))
         hyp_objs = []
         for rank, (ids, n_edits) in enumerate(hyps):
-            ac = -acoustic_scale * n_edits + float(rng.normal(0.0, acoustic_noise))
+            ac = -n_edits + float(rng.normal(0.0, 0.8))
             hyp_objs.append(Hypothesis(to_text(ids), ac, rank))
         perm = rng.permutation(len(hyp_objs))
         hyp_objs = tuple(Hypothesis(hyp_objs[i].text, hyp_objs[i].acoustic, r)

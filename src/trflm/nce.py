@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import length_buckets
-from .noise import NoiseBatch, NoiseDistribution, draw_noise_batch, noise_logprob
+from .noise import NoiseBatch, NoiseDistribution, draw_noise_batch, noise_logprob_batch
 from .seqnet.potential import potential_backward_batch, potential_phi_batch
 from .trf import TrfModel, log_joint_batch, nll as trf_nll, with_exact_zeta, zeta_gap
 from .util import derive_rng, log_sigmoid
@@ -76,7 +76,7 @@ def _score(model: TrfModel, nd: NoiseDistribution, data_batch,
     if len(noise_batch.sequences) != nu * len(data_batch):
         raise ValueError("noise batch size must be nu * data batch size")
     if data_log_pn is None:
-        data_log_pn = [noise_logprob(nd, s) for s in data_batch]
+        data_log_pn = noise_logprob_batch(nd, data_batch)
     seqs = list(data_batch) + list(noise_batch.sequences)
     log_pn = np.concatenate([data_log_pn, noise_batch.log_pn])
     log_p = np.empty(len(seqs))
@@ -181,7 +181,7 @@ def train(model: TrfModel, nd: NoiseDistribution, dataset, config: NceConfig,
     if not dataset:
         raise ValueError("empty dataset")
     frozen = model.length_prior.probs == 0   # zeta of a zero-prior length never moves
-    data_log_pn = np.array([noise_logprob(nd, x) for x in dataset])   # once: data are fixed
+    data_log_pn = noise_logprob_batch(nd, dataset)   # once: data are fixed
     shuffle_rng = derive_rng(config.seed, "shuffle")
     noise_rng = derive_rng(config.seed, "noise")
     opt_theta, opt_zeta = Adam(), Adam()

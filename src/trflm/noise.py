@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import LengthPrior, Sequence
+from .corpus import LengthPrior, Sequence, length_buckets
 from .ngram import NGramModel, logprob_fixed_length, sample_fixed_length
 
 
@@ -21,12 +21,20 @@ class NoiseDistribution:
     base: NGramModel
 
 
+def noise_logprob_batch(nd: NoiseDistribution, seqs) -> np.ndarray:
+    """log p_n(l, x^l) of each sequence, one walk per length bucket; -inf
+    exactly where the length has zero prior mass, and such a bucket is never
+    walked."""
+    out = np.empty(len(seqs))
+    for idx, ids in length_buckets(seqs):
+        lp_len = nd.length_prior.log_prob(ids.shape[1])
+        out[idx] = lp_len if lp_len == -np.inf else lp_len + logprob_fixed_length(nd.base, ids)
+    return out
+
+
 def noise_logprob(nd: NoiseDistribution, x: Sequence) -> float:
-    """log p_n(l, x^l); -inf exactly when the length has zero prior mass."""
-    lp_len = nd.length_prior.log_prob(len(x))
-    if lp_len == -np.inf:
-        return -np.inf
-    return lp_len + float(logprob_fixed_length(nd.base, np.array([x.ids]))[0])
+    """log p_n(l, x^l) of one sequence."""
+    return float(noise_logprob_batch(nd, [x])[0])
 
 
 @dataclass(frozen=True)

@@ -310,17 +310,20 @@ def test_criterion_7_rescoring_combination(pilot_setting):
     test_nb, test_refs = evalkit.make_nbest_benchmark(
         kn5, vocab, prior, bench_rng, n_utts=60, n_hyps=8, tag="tst")
 
+    dev_table = evalkit.precompute_member_scores(members, dev_nb)
+    test_table = evalkit.precompute_member_scores(members, test_nb)
+
     names = ("kn-ngram", "lstm-lm", "trf")
     dev_singles, test_singles = {}, {}
     for i, name in enumerate(names):
         w = tuple(1.0 if j == i else 0.0 for j in range(3))
         dev_singles[name] = evalkit.corpus_wer(
-            dev_refs, evalkit.rescore_with_weights(members, w, dev_nb)).rate
+            dev_refs, evalkit.rescore_with_weights(dev_table, w, dev_nb)).rate
         test_singles[name] = evalkit.corpus_wer(
-            test_refs, evalkit.rescore_with_weights(members, w, test_nb)).rate
-    weights, dev_combined = evalkit.grid_search_weights(members, dev_nb, dev_refs)
+            test_refs, evalkit.rescore_with_weights(test_table, w, test_nb)).rate
+    weights, dev_combined = evalkit.grid_search_weights(dev_table, dev_nb, dev_refs)
     test_combined = evalkit.corpus_wer(
-        test_refs, evalkit.rescore_with_weights(members, weights, test_nb)).rate
+        test_refs, evalkit.rescore_with_weights(test_table, weights, test_nb)).rate
     elapsed = time.monotonic() - t0
 
     ok = dev_combined <= min(dev_singles.values())

@@ -299,7 +299,9 @@ def test_eval_budget_error_suggests_flag(micro, capsys):
     capsys.readouterr()
     assert main(["eval", "--model", "micro/out/trf.json", "--data", "micro/valid.txt",
                  "--exact-z", "--budget", "2"]) == 2
-    assert "--exact-z" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--exact-z" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_eval_rejects_malformed_model(micro, capsys):
@@ -446,6 +448,7 @@ def test_rescore_id_mismatch_lists_ids(micro, capsys):
                  "--refs", "refs.txt"]) == 2
     err = capsys.readouterr().err
     assert "uttA" in err and "uttB" in err
+    assert err.startswith("error: utterance ids disagree") and err.count("\n") == 1
 
 
 def test_gradcheck_cli_passes_and_detects_faults(capsys, monkeypatch):
@@ -503,6 +506,18 @@ def test_rescore_malformed_line_names_file_and_line(micro, capsys, which, line, 
     err = capsys.readouterr().err
     assert err.startswith(f"error: {which}.txt:{len(files[which])}: {message}")
     assert err.count("\n") == 1
+
+
+def test_rescore_empty_nbest_file_is_one_error_line(micro, capsys):
+    main(["train-ngram", "-c", "micro.ini"])
+    for name, text in (("nbest.txt", "\n"), ("refs.txt", "uttA a t\n"),
+                       ("rescore.ini", NGRAM_RESCORE_INI)):
+        with open(name, "w") as f:
+            f.write(text)
+    capsys.readouterr()
+    assert main(["rescore", "-c", "rescore.ini", "--nbest", "nbest.txt",
+                 "--refs", "refs.txt"]) == 2
+    assert capsys.readouterr() == ("", "error: nbest.txt: the n-best file holds no hypotheses\n")
 
 
 def write_rescore_inputs(vocab, members, level="char", weights="grid"):

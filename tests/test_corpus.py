@@ -50,7 +50,7 @@ def test_build_vocabulary_max_size():
 
 def test_encode_char_level_word():
     v = build_vocabulary(["cat dog"], level="char")
-    s = encode("cat", v, attach_boundaries=True, level="char")
+    s = encode("cat", v, level="char")
     assert s.ids == (v.bos, v.id_of("c"), v.id_of("a"), v.id_of("t"), v.eos)
 
 

@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 from trflm import evalkit
 from trflm.corpus import LengthPrior, build_vocabulary, encode
 from trflm.evalkit import (Hypothesis, NBestList, NgramScorer, corpus_wer,
-                           grid_search_weights, read_nbest_file, read_refs_file,
-                           rescore_with_weights, wer, write_nbest_file, write_refs_file)
+                           grid_search_weights, precompute_member_scores, read_nbest_file,
+                           read_refs_file, rescore_with_weights, wer, write_nbest_file,
+                           write_refs_file)
 from trflm.ngram import logprob_sentence, train_ngram
 
 # -- independent oracle: two-row iterative edit distance -----------------------
@@ -114,7 +115,8 @@ def make_nbest(texts, acoustics=None, utt="u1"):
 
 def pick(members, weights, *nbests):
     """The picked text of each n-best list, in order."""
-    best = rescore_with_weights(members, weights, list(nbests))
+    table = precompute_member_scores(members, nbests)
+    best = rescore_with_weights(table, weights, nbests)
     return [best[nb.utt_id] for nb in nbests]
 
 
@@ -178,10 +180,10 @@ def test_combined_beats_each_corner_on_exhaustive_list():
                          Hypothesis("b", None, 2), Hypothesis("c a", None, 3),
                          Hypothesis("c", None, 4))),
     ]
-    members = [LengthScorer(), ConstScorer(0.0)]
-    weights, best_rate = grid_search_weights(members, nbests, refs)
+    table = precompute_member_scores([LengthScorer(), ConstScorer(0.0)], nbests)
+    weights, best_rate = grid_search_weights(table, nbests, refs)
     for corner in ((1.0, 0.0), (0.0, 1.0)):
-        picked = rescore_with_weights(members, corner, nbests)
+        picked = rescore_with_weights(table, corner, nbests)
         assert best_rate <= corpus_wer(refs, picked).rate
 
 
@@ -321,22 +323,43 @@ def test_grid_search_matches_brute_force_loop(seed):
     members = [TableScorer({t: float(rng.integers(-3, 0)) for t in texts}),
                TableScorer({t: float(rng.integers(-2, 1)) for t in texts}),
                TableScorer({t: -np.inf if rng.random() < 0.3 else -1.0 for t in texts})]
+    table = precompute_member_scores(members, nbests)
     brute_w, brute_rate = None, np.inf
     for w in evalkit._simplex_grid(3, 0.1):
-        picked = rescore_with_weights(members, w, nbests)
+        picked = rescore_with_weights(table, w, nbests)
         assert picked == brute_force_pick(members, w, nbests)
         rate = corpus_wer(refs, picked).rate
         if rate < brute_rate - 1e-15:
             brute_w, brute_rate = w, rate
-    assert grid_search_weights(members, nbests, refs) == (brute_w, brute_rate)
+    assert grid_search_weights(table, nbests, refs) == (brute_w, brute_rate)
 
 
 def test_pick_ties_go_to_lowest_rank_not_storage_order():
     nb = NBestList("u", (Hypothesis("b", None, 2), Hypothesis("c", None, 0),
                          Hypothesis("a", None, 1)))
-    members = [ConstScorer(-1.0)]
-    assert rescore_with_weights(members, (1.0,), [nb]) == {"u": "c"}
+    table = precompute_member_scores([ConstScorer(-1.0)], [nb])
+    assert rescore_with_weights(table, (1.0,), [nb]) == {"u": "c"}
     # every hypothesis impossible: still the lowest rank, never padding
     short = NBestList("v", (Hypothesis("a", None, 3), Hypothesis("b", None, 1)))
-    members = [ConstScorer(-np.inf)]
-    assert rescore_with_weights(members, (1.0,), [nb, short]) == {"u": "c", "v": "b"}
+    table = precompute_member_scores([ConstScorer(-np.inf)], [nb, short])
+    assert rescore_with_weights(table, (1.0,), [nb, short]) == {"u": "c", "v": "b"}
+
+
+def test_score_table_cells_match_per_utterance_scoring():
+    # ragged lists stored out of rank order, scored by a length-bucketing
+    # member: every real cell holds its own hypothesis, padding stays empty
+    nbests, _ = random_nbests(np.random.default_rng(11))
+    vocab = build_vocabulary(["a b c"])
+    ngram = NgramScorer(train_ngram([encode(t, vocab) for t in ("a b", "b c a", "c")], 2,
+                                    vocab), vocab)
+    members = [ngram, LengthScorer()]
+    table = precompute_member_scores(members, nbests)
+    assert table.real.shape == (len(nbests), max(len(nb.hypotheses) for nb in nbests))
+    for i, nb in enumerate(nbests):
+        n, texts = len(nb.hypotheses), [h.text for h in nb.hypotheses]
+        for m, member in enumerate(members):
+            assert np.array_equal(table.scores[i, :n, m], member.logprob_batch(texts))
+        assert table.acoustic[i, :n].tolist() == [h.acoustic or 0.0 for h in nb.hypotheses]
+        assert table.rank[i, :n].tolist() == [h.rank for h in nb.hypotheses]
+        assert table.real[i, :n].all() and not table.real[i, n:].any()
+        assert not table.scores[i, n:].any() and not table.acoustic[i, n:].any()

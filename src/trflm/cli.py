@@ -392,8 +392,11 @@ def cmd_enumerate_z(args) -> int:
 
 
 def _build_members(cfg: ExperimentConfig, vocab, level):
+    entries = cfg.get("rescore", "members").split()
+    if not entries:
+        raise ConfigError("key 'members' in [rescore] must list at least one kind:path entry")
     members = []
-    for entry in cfg.get("rescore", "members").split():
+    for entry in entries:
         kind, _, path = entry.partition(":")
         path = path if os.path.isabs(path) else os.path.join(cfg.base_dir, path)
         if not os.path.exists(path):

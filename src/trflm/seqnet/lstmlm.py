@@ -5,6 +5,12 @@ the end symbol. The begin symbol is masked out of every softmax (it is never a
 valid continuation), and once the payload budget max_len-2 is exhausted the
 end symbol is forced with probability one. Total probability over all
 sequences of length <= max_len is therefore exactly 1.
+
+A forced end symbol needs no softmax, so a sequence of length max_len runs
+max_len-2 LSTM steps and any shorter one length-1 (_steps). Scoring runs the
+network once per run of consecutive rows with the same inputs. At max_len the
+inputs stop before the last payload symbol, so a lexicographic enumeration
+over P payload symbols needs one pass per P rows.
 """
 from __future__ import annotations
 
@@ -56,10 +62,16 @@ def _check_batch(cfg: LstmLmConfig, ids: np.ndarray) -> None:
         raise ValueError("boundary symbol inside payload")
 
 
-def _forward(params: layers.Params, ids: np.ndarray):
+def _steps(cfg: LstmLmConfig, length: int) -> int:
+    """Softmax steps a length-`length` sequence needs: one per symbol after the
+    begin symbol, less the end symbol at max_len, which is forced."""
+    return length - 2 if length == cfg.max_len else length - 1
+
+
+def _forward(params: layers.Params, inputs: np.ndarray):
+    """LSTM states, logits and log-sum-exps over the (N, steps) input columns."""
     cfg = params.config
     t = params.tensors
-    inputs = ids[:, :-1]
     x, _ = layers.embedding_forward(t["emb"], inputs)
     caches = []
     h = x
@@ -70,26 +82,26 @@ def _forward(params: layers.Params, ids: np.ndarray):
     logits[:, :, cfg.bos] = -np.inf
     zmax = logits.max(axis=2, keepdims=True)
     lse = zmax[:, :, 0] + np.log(np.exp(logits - zmax).sum(axis=2))
-    return inputs, caches, h, logits, lse
-
-
-def _gather_logprobs(cfg: LstmLmConfig, ids, logits, lse) -> np.ndarray:
-    n, length = ids.shape
-    targets = ids[:, 1:]
-    steps = length - 1
-    rows = np.arange(n)[:, None]
-    cols = np.arange(steps)[None, :]
-    lp = logits[rows, cols, targets] - lse
-    if length == cfg.max_len:
-        lp[:, -1] = 0.0   # end symbol forced once the payload budget is spent
-    return lp.sum(axis=1)
+    return caches, h, logits, lse
 
 
 def lstm_lm_logprob_batch(params: layers.Params, ids) -> np.ndarray:
+    """log q of each row of a batch of same-length sequences.
+
+    Consecutive rows with the same input columns share every LSTM state and
+    softmax, so the network runs only on the first row of each such run and
+    every row reads its targets from its run's logits."""
+    cfg = params.config
     ids = np.asarray(ids, dtype=np.int64)
-    _check_batch(params.config, ids)
-    _, _, _, logits, lse = _forward(params, ids)
-    return _gather_logprobs(params.config, ids, logits, lse)
+    _check_batch(cfg, ids)
+    steps = _steps(cfg, ids.shape[1])
+    inputs = ids[:, :steps]
+    new = np.ones(len(ids), dtype=bool)
+    new[1:] = (inputs[1:] != inputs[:-1]).any(axis=1)
+    _, _, logits, lse = _forward(params, inputs[new])
+    run = (np.cumsum(new) - 1)[:, None]
+    cols = np.arange(steps)[None, :]
+    return (logits[run, cols, ids[:, 1:steps + 1]] - lse[run, cols]).sum(axis=1)
 
 
 def lstm_lm_loss_grads(params: layers.Params, batch) -> tuple[float, dict]:
@@ -101,20 +113,20 @@ def lstm_lm_loss_grads(params: layers.Params, batch) -> tuple[float, dict]:
     n_total = len(batch)
     for _, ids in length_buckets(batch):
         _check_batch(cfg, ids)
-        inputs, caches, h, logits, lse = _forward(params, ids)
-        lp = _gather_logprobs(cfg, ids, logits, lse)
-        total_nll += float(-lp.sum())
-
         n, length = ids.shape
-        targets = ids[:, 1:]
-        steps = length - 1
-        probs = np.exp(logits - lse[:, :, None])
-        dlogits = probs / n_total
+        steps = _steps(cfg, length)
+        if not steps:
+            continue   # [begin, end] at max_len 2 is certain: no loss, no gradient
+        inputs, targets = ids[:, :steps], ids[:, 1:steps + 1]
+        caches, h, logits, lse = _forward(params, inputs)
         rows = np.arange(n)[:, None]
         cols = np.arange(steps)[None, :]
+        lp = logits[rows, cols, targets] - lse
+        total_nll += float(-lp.sum(axis=1).sum())
+
+        probs = np.exp(logits - lse[:, :, None])
+        dlogits = probs / n_total
         dlogits[rows, cols, targets] -= 1.0 / n_total
-        if length == cfg.max_len:
-            dlogits[:, -1, :] = 0.0
         grads["out_w"] += np.einsum("ntd,ntv->dv", h, dlogits)
         grads["out_b"] += dlogits.sum(axis=(0, 1))
         dh = dlogits @ t["out_w"].T

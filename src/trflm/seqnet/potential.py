@@ -103,8 +103,7 @@ def potential_phi_batch(params: layers.Params, ids) -> tuple[np.ndarray, dict]:
         cache["residual"] = False
 
     h_fw, c_fw = layers.lstm_forward(x, t["lstm_fw_w"], t["lstm_fw_b"])
-    x_rev = x[:, ::-1, :].copy()
-    h_bw_rev, c_bw = layers.lstm_forward(x_rev, t["lstm_bw_w"], t["lstm_bw_b"])
+    h_bw_rev, c_bw = layers.lstm_forward(x[:, ::-1, :], t["lstm_bw_w"], t["lstm_bw_b"])
     h = np.concatenate([h_fw, h_bw_rev[:, ::-1, :]], axis=2)   # (N, l, 2d)
 
     alpha = h @ t["att_beta"]      # raw attention scores, (N, l)
@@ -134,9 +133,8 @@ def potential_backward_batch(params: layers.Params, cache: dict,
     d = cfg.hidden_dim
     dx_fw, grads["lstm_fw_w"], grads["lstm_fw_b"] = layers.lstm_backward(
         dh[:, :, :d], cache["lstm_fw"])
-    dh_bw_rev = dh[:, ::-1, d:].copy()
     dx_bw_rev, grads["lstm_bw_w"], grads["lstm_bw_b"] = layers.lstm_backward(
-        dh_bw_rev, cache["lstm_bw"])
+        dh[:, ::-1, d:], cache["lstm_bw"])
     dx = dx_fw + dx_bw_rev[:, ::-1, :]
 
     demb = dx if cache["residual"] else None

@@ -60,7 +60,8 @@ class NgramReference:
 
 
 class LstmReference:
-    """LSTM LM reference: normalized jointly over lengths <= its max_len."""
+    """LSTM LM reference: normalized jointly over lengths <= its max_len. In
+    _length_space's order each run of P rows at max_len shares one LM pass."""
 
     kind = "lstm"
 

@@ -546,6 +546,15 @@ def test_rescore_rejects_malformed_weights(micro, capsys):
         assert err.count("\n") == 1
 
 
+def test_rescore_rejects_empty_members(micro, capsys):
+    main(["train-ngram", "-c", "micro.ini"])
+    argv = write_rescore_inputs("micro/out/vocab.txt", "")
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", "config error: key 'members' in [rescore] must list at least one kind:path entry\n")
+
+
 @pytest.fixture(scope="module")
 def trained_micro(tmp_path_factory):
     """A directory holding the micro corpus and the TRF, n-gram and LSTM LM

@@ -6,9 +6,9 @@ import pytest
 from trflm.corpus import Sequence
 from trflm.gradcheck import numeric_grad_tensors, relative_errors
 from trflm.seqnet import (LstmLmConfig, PotentialConfig, init_lstm_lm_params,
-                          init_potential_params, lstm_lm_logprob_batch, lstm_lm_loss_grads,
-                          lstm_lm_train_step, potential_backward_batch,
-                          potential_phi_batch)
+                          init_potential_params, layers, lstm_lm_logprob_batch,
+                          lstm_lm_loss_grads, lstm_lm_train_step, lstmlm,
+                          potential_backward_batch, potential_phi_batch)
 from trflm.seqnet.layers import conv1d_backward, conv1d_forward, lstm_backward, lstm_forward
 
 
@@ -269,15 +269,90 @@ def test_lstm_lm_rejects_bad_sequences():
         lstm_lm_logprob_batch(params, np.array([(3, 4, 1)]))          # no begin
 
 
-def test_lstm_lm_gradient_matches_finite_differences():
-    cfg = lm_cfg(max_len=6, num_layers=2)
-    params = init_lstm_lm_params(cfg, seed=4)
-    batch = [Sequence((0, 3, 4, 1)), Sequence((0, 2, 1)), Sequence((0, 4, 4, 3, 1))]
+def assert_lm_gradient_matches_finite_differences(max_len, batch):
+    params = init_lstm_lm_params(lm_cfg(max_len=max_len, num_layers=2), seed=4)
     _, grads = lstm_lm_loss_grads(params, batch)
     numeric = numeric_grad_tensors(
         lambda: lstm_lm_loss_grads(params, batch)[0], params.tensors, h=1e-4)
     errs = relative_errors(grads, numeric)
     assert max(errs.values()) < 1e-5, errs
+
+
+def test_lstm_lm_gradient_matches_finite_differences():
+    assert_lm_gradient_matches_finite_differences(
+        6, [Sequence((0, 3, 4, 1)), Sequence((0, 2, 1)), Sequence((0, 4, 4, 3, 1))])
+
+
+def test_lstm_lm_gradient_at_max_len():
+    # rows at max_len skip the forced end symbol's step; the others keep it
+    assert_lm_gradient_matches_finite_differences(
+        4, [seq(0, 3, 4, 1), seq(0, 2, 2, 1), seq(0, 4, 1), seq(0, 1)])
+
+
+def test_lstm_lm_max_len_two_is_certain():
+    params = init_lstm_lm_params(lm_cfg(max_len=2), seed=4)
+    assert lstm_lm_logprob_batch(params, np.array([(0, 1), (0, 1)])).tolist() == [0.0, 0.0]
+    nll, grads = lstm_lm_loss_grads(params, [seq(0, 1)])
+    assert nll == 0.0 and all(not g.any() for g in grads.values())
+
+
+def lexicographic_space(vocab_size, length):
+    """Every [begin, payload, end] row of one length, last payload symbol fastest."""
+    payload = range(2, vocab_size)
+    return np.array([(0, *p, 1) for p in itertools.product(payload, repeat=length - 2)])
+
+
+def unshared_logprob(params, ids):
+    """lstm_lm_logprob_batch without sharing runs: one pass over every row."""
+    steps = lstmlm._steps(params.config, ids.shape[1])
+    _, _, logits, lse = lstmlm._forward(params, ids[:, :steps])
+    rows, cols = np.arange(len(ids))[:, None], np.arange(steps)[None, :]
+    return (logits[rows, cols, ids[:, 1:steps + 1]] - lse).sum(axis=1)
+
+
+@pytest.mark.parametrize("num_layers", [1, 2])
+@pytest.mark.parametrize("max_len, length", [(5, 3), (5, 4), (4, 4), (5, 5), (2, 2)])
+def test_lstm_lm_shared_runs_are_exact(num_layers, max_len, length):
+    params = init_lstm_lm_params(lm_cfg(vocab_size=6, num_layers=num_layers,
+                                        max_len=max_len), seed=9)
+    ids = lexicographic_space(6, length)
+    whole = lstm_lm_logprob_batch(params, ids)
+    assert np.array_equal(whole, unshared_logprob(params, ids))
+    # A one-row pass multiplies through BLAS gemv, which may round the last
+    # bit differently from the gemm of a many-row pass.
+    one = np.array([lstm_lm_logprob_batch(params, row[None])[0] for row in ids])
+    assert np.abs(whole - one).max() < 1e-12
+
+
+@pytest.mark.parametrize("num_layers", [1, 2])
+def test_lstm_lm_shared_runs_split_and_repeated(num_layers):
+    # At max_len 5 over 4 payload symbols the 64 rows make 16 runs of 4.
+    params = init_lstm_lm_params(lm_cfg(vocab_size=6, num_layers=num_layers, max_len=5),
+                                 seed=9)
+    ids = lexicographic_space(6, 5)
+    whole = lstm_lm_logprob_batch(params, ids)
+    # chunk edges inside runs; every chunk still spans two runs or more
+    cuts = (0, 6, 13, 27, 50, 64)
+    chunked = np.concatenate([lstm_lm_logprob_batch(params, ids[a:b])
+                              for a, b in zip(cuts, cuts[1:])])
+    assert np.array_equal(chunked, whole)
+    # a row that comes back after other runs is scored again, to the same value
+    again = lstm_lm_logprob_batch(params, np.concatenate([ids, ids[:1], ids[5:7]]))
+    assert np.array_equal(again, np.concatenate([whole, whole[:1], whole[5:7]]))
+
+
+def test_lstm_lm_runs_one_pass_per_shared_prefix(monkeypatch):
+    # P = 4 payload symbols at max_len 5: P^3 rows share P^2 passes of 3 steps
+    params = init_lstm_lm_params(lm_cfg(vocab_size=6, max_len=5), seed=9)
+    shapes = []
+
+    def counting(x, w, b):
+        shapes.append(x.shape[:2])
+        return lstm_forward(x, w, b)
+
+    monkeypatch.setattr(layers, "lstm_forward", counting)
+    lstm_lm_logprob_batch(params, lexicographic_space(6, 5))
+    assert shapes == [(4 ** 2, 3)]
 
 
 def test_lstm_lm_training_reduces_nll():

@@ -104,17 +104,37 @@ def pilot_shaped_model(payload_size=27, max_len=5, seed=0):
                     UniformReference(len(vocab.payload_ids)), vocab)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, trf._CHUNK_ROWS, 6 ** 3])
-def test_exact_log_z_does_not_depend_on_chunking(monkeypatch, chunk):
-    # 6 payload symbols: 216 rows at length 5, scored here in one batch
-    model = pilot_shaped_model(payload_size=6, seed=3)
+def assert_exact_log_z_matches_one_batch(model):
     payload = sorted(model.vocab.payload_ids)
-    monkeypatch.setattr(trf, "_CHUNK_ROWS", chunk)
     for l in model.supported_lengths:
         ids = np.array([(model.vocab.bos, *p, model.vocab.eos)
                         for p in itertools.product(payload, repeat=l - 2)])
         whole = logsumexp(model.reference.log_q_batch(ids) + model.potential.phi_batch(ids))
         assert abs(exact_log_z(model, l) - whole) < 1e-12
+
+
+@pytest.mark.parametrize("chunk", [1, 7, trf._CHUNK_ROWS, 6 ** 3])
+def test_exact_log_z_does_not_depend_on_chunking(monkeypatch, chunk):
+    # 6 payload symbols: 216 rows at length 5, scored here in one batch
+    monkeypatch.setattr(trf, "_CHUNK_ROWS", chunk)
+    assert_exact_log_z_matches_one_batch(pilot_shaped_model(payload_size=6, seed=3))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, trf._CHUNK_ROWS])
+def test_exact_log_z_over_lstm_reference_does_not_depend_on_chunking(monkeypatch, chunk):
+    # 5 payload symbols: at max_len the LM shares one pass per run of 5 rows,
+    # and chunks of 7 rows split those runs
+    from trflm.seqnet import LstmLmConfig, init_lstm_lm_params
+    vocab = Vocabulary(("<s>", "</s>", "<unk>", "a", "b", "c", "d"))
+    lm = init_lstm_lm_params(LstmLmConfig(vocab_size=vocab.size, emb_dim=3, hidden_dim=4,
+                                          max_len=5), 1)
+    potential = NeuralPotential(init_potential_params(PotentialConfig(
+        vocab_size=vocab.size, emb_dim=4, bank_width=2, bank_channels=3, stack_layers=2,
+        hidden_dim=4), 2))
+    pi = LengthPrior(np.array([0.0, 0.25, 0.25, 0.25, 0.25]))
+    monkeypatch.setattr(trf, "_CHUNK_ROWS", chunk)
+    assert_exact_log_z_matches_one_batch(
+        TrfModel(potential, np.zeros(5), pi, LstmReference(lm), vocab))
 
 
 def test_exact_zeta_memory_is_bounded():

@@ -75,10 +75,12 @@ def _sigmoid_(z):
     np.reciprocal(z, out=z)
 
 
-def lstm_forward(x, w, b):
+def lstm_forward(x, w, b, state=None):
     """Single-layer LSTM scan. x is (N, L, Cin); w is (Cin+d, 4d) over the
     concatenated [x_t, h_{t-1}] input; gate order along the 4d axis is
-    input, forget, candidate, output. Initial h and c are zero.
+    input, forget, candidate, output. Initial h and c are zero, or the
+    (N, d) arrays of state = (h0, c0). lstm_backward assumes zero initial
+    states, so a nonzero state is for forward-only scans.
 
     The scan runs time-major and gate-major so that every elementwise step
     works on contiguous memory. Before the loop one input projection
@@ -97,16 +99,19 @@ def lstm_forward(x, w, b):
     c = np.empty((length, n, d))
     tc = np.empty((length, n, d))
     h = np.empty((length, n, d))
+    h_prev, c_prev = (None, None) if state is None else state
     for t in range(length):
         a = acts[t]
         if t:
-            a += np.matmul(h[t - 1], w_h)
+            h_prev, c_prev = h[t - 1], c[t - 1]
+        if h_prev is not None:
+            a += np.matmul(h_prev, w_h)
         _sigmoid_(a[:2])                                  # i | f
         np.tanh(a[2], out=a[2])                           # g
         _sigmoid_(a[3])                                   # o
         np.multiply(a[0], a[2], out=c[t])
-        if t:
-            c[t] += a[1] * c[t - 1]
+        if c_prev is not None:
+            c[t] += a[1] * c_prev
         np.tanh(c[t], out=tc[t])
         np.multiply(a[3], tc[t], out=h[t])
     cache = (xt, acts, c, tc, h, w)

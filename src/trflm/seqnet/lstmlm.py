@@ -11,6 +11,12 @@ max_len-2 LSTM steps and any shorter one length-1 (_steps). Scoring runs the
 network once per run of consecutive rows with the same inputs. At max_len the
 inputs stop before the last payload symbol, so a lexicographic enumeration
 over P payload symbols needs one pass per P rows.
+
+A row's score, here and in the potential, can differ in its last bits
+between batchings: numpy sends a one-row matmul through BLAS gemv and a
+many-row one through gemm, which sum in different orders, and the
+potential's prefix-tree scan batches other rows than its per-row pass. Tests
+compare such paths to within 1e-12, not for equality.
 """
 from __future__ import annotations
 

@@ -11,6 +11,11 @@ The convolution stack's last layer outputs embedding-width channels so the
 residual add is well defined; when the bank is present (K > 0) at least one
 stacked convolution is required to project the splice down. The bank/stack may
 both be disabled, in which case embeddings feed the BLSTM directly.
+
+Without convolutions the forward LSTM state at a position depends only on
+the symbols up to it and the backward state only on those from it on, so
+potential_phi_space scores a whole fixed-length space with one prefix-tree
+scan per direction, for the exact normalizer.
 """
 from __future__ import annotations
 
@@ -155,6 +160,83 @@ def potential_backward_batch(params: layers.Params, cache: dict,
         dx = dx + demb
     grads["emb"] = layers.embedding_backward(dx, ids, t["emb"].shape)
     return grads
+
+
+def _children(h, c, inputs):
+    """Inputs and (h0, c0) of every child of the parent states (h, c), each
+    parent's children together and in the order of inputs."""
+    k = len(inputs)
+    return np.tile(inputs, (len(h), 1)), (np.repeat(h, k, axis=0), np.repeat(c, k, axis=0))
+
+
+def _tree_readout(t: dict, direction: str, symbols: list, chunk_rows: int) -> list:
+    """Attention scalars (beta.h, lambda.h) of one LSTM direction at every
+    node of its prefix tree, one (a, u) pair of arrays per level.
+
+    symbols holds each level's (B, e) input embeddings: B = 1 at the two
+    boundary levels and P at every payload level. A level's nodes spell
+    their symbols in mixed radix, the earliest symbol varying slowest. The
+    last two levels hold the most nodes, so they are scanned together in
+    chunks of about chunk_rows children, which keeps the scan in cache."""
+    w, b = t[f"lstm_{direction}_w"], t[f"lstm_{direction}_b"]
+    d = w.shape[1] // 4
+    half = slice(0, d) if direction == "fw" else slice(d, 2 * d)
+    readout = np.stack([t["att_beta"][half], t["att_lambda"][half]], axis=1)
+    levels = []
+    h = c = np.zeros((1, d))       # stepping from zero states adds exact zeros
+    for inputs in symbols[:-2]:
+        x, state = _children(h, c, inputs)
+        hs, cache = layers.lstm_forward(x[:, None], w, b, state)
+        h, c = hs[:, 0], cache[2][0]           # cache[2] holds the cell states
+        levels.append(tuple((h @ readout).T))
+    heads, last = symbols[-2:]
+    group = max(1, chunk_rows // len(heads))
+    tail = np.empty((len(h) * len(heads), 2, 2))   # (rows, 2 levels, a | u)
+    for s in range(0, len(h), group):
+        x, state = _children(h[s:s + group], c[s:s + group], heads)
+        hs, _ = layers.lstm_forward(np.stack([x, np.broadcast_to(last, x.shape)], axis=1),
+                                    w, b, state)
+        tail[s * len(heads):s * len(heads) + len(x)] = hs @ readout
+    levels += [(tail[:, k, 0], tail[:, k, 1]) for k in range(2)]
+    return levels
+
+
+def potential_phi_space(params: layers.Params, payload, bos: int, eos: int,
+                        length: int, chunk_rows: int) -> np.ndarray:
+    """phi of every [bos, payload^(length-2), eos] sequence, in lexicographic
+    order of the payload (the last position varying fastest), for a potential
+    without convolutions.
+
+    The forward state at position i then depends only on the symbols up to i
+    and the backward state only on those from i on, so each direction is one
+    scan of its prefix tree and
+        phi = bias + sum_i (af_i + ab_i)(uf_i + ub_i),
+    with af = beta_f.hf, uf = lambda_f.hf and likewise backward. The backward
+    tree spells its payload digits last to first; transposing a level's
+    (P,) * k grid puts them in order, and phi is one broadcast sum over the
+    (P,) * (length-2) grid."""
+    cfg = params.config
+    if cfg.bank_width > 0 or cfg.stack_layers > 0:
+        raise ValueError("the prefix-tree scan needs a potential without convolutions")
+    t = params.tensors
+    payload = _check_ids(cfg, [payload])[0]
+    _check_ids(cfg, [[bos, eos]])
+    p, size = length - 2, len(payload)
+    emb = t["emb"]
+    between = [emb[payload]] * p
+    fw = _tree_readout(t, "fw", [emb[[bos]], *between, emb[[eos]]], chunk_rows)
+    bw = _tree_readout(t, "bw", [emb[[eos]], *between, emb[[bos]]], chunk_rows)
+    phi = np.full((size,) * p, float(t["bias"]))
+    for i in range(p + 2):
+        nf, nb = min(i, p), p - max(i, 1) + 1       # payload digits each side sees
+        head = (size,) * nf + (1,) * (p - nf)
+        af, uf = (v.reshape(head) for v in fw[i])
+        ab, ub = (v.reshape((size,) * nb).transpose().reshape((1,) * (p - nb) + (size,) * nb)
+                  for v in bw[p + 1 - i])
+        term = af + ab
+        term *= uf + ub
+        phi += term
+    return phi.ravel()
 
 
 class NeuralPotential:

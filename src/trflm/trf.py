@@ -12,7 +12,12 @@ exactly normalized; during training zeta is an ordinary parameter.
 For enumerable spaces exact_log_z computes log Z_l by brute force over every
 payload assignment of a length (lexicographic order, chunked stable
 log-sum-exp), which is the ground-truth oracle the estimated zeta is judged
-against; with_exact_zeta is the one model normalized by it.
+against; with_exact_zeta is the one model normalized by it. _length_space is
+the one enumerator: each chunk is scored by log_q_batch plus phi, and phi
+comes from one prefix-tree scan of the whole space when the potential has no
+convolutions (potential_phi_space), from phi_batch otherwise. total_mass
+always scores through phi_batch, so checking it against exact_log_z checks
+the tree scan against an independent path.
 """
 from __future__ import annotations
 
@@ -23,7 +28,8 @@ import numpy as np
 
 from .corpus import LengthPrior, Sequence, Vocabulary, length_buckets
 from . import ngram as ngram_mod
-from .seqnet import Params, lstmlm
+from .seqnet import NeuralPotential, Params, lstmlm
+from .seqnet.potential import potential_phi_space
 from .util import logsumexp
 
 DEFAULT_ENUM_BUDGET = 10_000_000
@@ -135,43 +141,69 @@ def _length_space(model: TrfModel, l: int, budget: int):
     in lexicographic order of the sorted payload ids: row k spells k in mixed
     radix over the payload alphabet, the last payload position varying
     fastest. Larger chunks run no faster per row, since their intermediates
-    spill out of cache, and hold more memory."""
+    spill out of cache, and hold more memory. The length and budget are
+    checked when it is called, before the first chunk is asked for."""
     p = l - 2
     if p < 0:
         raise ValueError(f"no sequences of length {l} exist (minimum is 2)")
     if l > model.max_len:
         raise ValueError(f"length {l} is past the model's lengths 2..{model.max_len}")
-    payload = np.array(sorted(model.vocab.payload_ids), dtype=np.int64)
+    payload = _payload(model)
     count = len(payload) ** p
     if count > budget:
         raise ValueError(f"enumerating length {l} needs {count} sequences, "
                          f"over the budget of {budget}")
-    for start in range(0, count, _CHUNK_ROWS):
-        k = np.arange(start, min(start + _CHUNK_ROWS, count), dtype=np.int64)
-        ids = np.empty((k.size, l), dtype=np.int64)
-        ids[:, 0] = model.vocab.bos
-        ids[:, -1] = model.vocab.eos
-        for col in range(p, 0, -1):
-            k, digit = np.divmod(k, payload.size)
-            ids[:, col] = payload[digit]
-        yield ids
+    return (_spell(model.vocab, payload, l, start, min(start + _CHUNK_ROWS, count))
+            for start in range(0, count, _CHUNK_ROWS))
+
+
+def _payload(model: TrfModel) -> np.ndarray:
+    return np.array(sorted(model.vocab.payload_ids), dtype=np.int64)
+
+
+def _spell(vocab: Vocabulary, payload: np.ndarray, l: int, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of the lexicographic length-l space."""
+    k = np.arange(start, stop, dtype=np.int64)
+    ids = np.empty((k.size, l), dtype=np.int64)
+    ids[:, 0] = vocab.bos
+    ids[:, -1] = vocab.eos
+    for col in range(l - 2, 0, -1):
+        k, digit = np.divmod(k, payload.size)
+        ids[:, col] = payload[digit]
+    return ids
+
+
+def _space_phi(model: TrfModel, l: int):
+    """phi over the whole length-l space in _length_space's order, from one
+    prefix-tree scan per LSTM direction, when the potential has no
+    convolutions; otherwise None, and the rows go through phi_batch."""
+    pot = model.potential
+    if not isinstance(pot, NeuralPotential) or pot.config.bank_width or pot.config.stack_layers:
+        return None
+    return potential_phi_space(pot.params, _payload(model), model.vocab.bos,
+                               model.vocab.eos, l, _CHUNK_ROWS)
 
 
 def exact_log_z(model: TrfModel, l: int, budget: int = DEFAULT_ENUM_BUDGET) -> float:
     """Brute-force log Z_l = log sum over the full length-l space of
     q(x) * e^phi(x), accumulated with a stable chunked log-sum-exp."""
-    acc = -np.inf
-    for ids in _length_space(model, l, budget):
-        scores = model.reference.log_q_batch(ids) + model.potential.phi_batch(ids)
-        acc = np.logaddexp(acc, logsumexp(scores))
+    chunks = _length_space(model, l, budget)
+    phi = _space_phi(model, l)
+    acc, start = -np.inf, 0
+    for ids in chunks:
+        stop = start + len(ids)
+        part = model.potential.phi_batch(ids) if phi is None else phi[start:stop]
+        acc = np.logaddexp(acc, logsumexp(model.reference.log_q_batch(ids) + part))
+        start = stop
     return float(acc)
 
 
 def exact_zeta(model: TrfModel, lengths=None, budget: int = DEFAULT_ENUM_BUDGET) -> dict[int, float]:
-    """True log-normalizers for every requested (default: supported) length."""
+    """True log-normalizers for every requested (default: supported) length,
+    each distinct length enumerated once."""
     if lengths is None:
         lengths = model.supported_lengths
-    return {int(l): exact_log_z(model, int(l), budget) for l in lengths}
+    return {l: exact_log_z(model, l, budget) for l in dict.fromkeys(int(l) for l in lengths)}
 
 
 def with_exact_zeta(model: TrfModel, lengths=None,

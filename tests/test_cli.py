@@ -581,6 +581,18 @@ def test_enumerate_z_past_the_model_lengths(trained_micro, capsys):
     assert err == "error: length 6 is past the model's lengths 2..5\n" and not out
 
 
+def test_enumerate_z_repeated_length_enumerates_once(trained_micro, capsys, monkeypatch):
+    from trflm import trf
+    calls = []
+    real = trf.exact_log_z
+    monkeypatch.setattr(trf, "exact_log_z",
+                        lambda model, l, budget: calls.append(l) or real(model, l, budget))
+    assert main(["enumerate-z", "--model", str(trained_micro / "trf.json"),
+                 "--lengths", "3", "3"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert calls == [3] and len(out) == 2 and out[0] == out[1] and out[0].startswith("l=3 ")
+
+
 def test_enumerate_z_lengths_must_be_integers(trained_micro, capsys):
     assert main(["enumerate-z", "--model", str(trained_micro / "trf.json"),
                  "--lengths", "3", "abc"]) == 2

@@ -151,6 +151,113 @@ def test_exact_zeta_memory_is_bounded():
     assert peak < 10e6
 
 
+def conv_free_model(reference, payload_size, emb_dim, hidden_dim, seed, max_len=5):
+    """A BLSTM-only potential (weights on [-0.5, 0.5]) over a uniform, bigram
+    or LSTM LM reference, every length 2..max_len supported."""
+    from trflm.seqnet import LstmLmConfig, init_lstm_lm_params
+    vocab = Vocabulary(("<s>", "</s>", "<unk>")
+                       + tuple(f"w{i}" for i in range(payload_size - 1)))
+    params = init_potential_params(PotentialConfig(vocab_size=vocab.size, emb_dim=emb_dim,
+                                                   hidden_dim=hidden_dim), seed, scale=0.5)
+    if reference == "uniform":
+        ref = UniformReference(payload_size)
+    elif reference == "ngram":
+        rng = np.random.default_rng(seed)
+        data = [Sequence((vocab.bos, *rng.choice(vocab.payload_ids, size=k).tolist(), vocab.eos))
+                for k in rng.integers(0, max_len - 1, size=20)]
+        ref = NgramReference(train_ngram(data, 2, vocab))
+    else:
+        ref = LstmReference(init_lstm_lm_params(LstmLmConfig(
+            vocab_size=vocab.size, emb_dim=3, hidden_dim=4, max_len=max_len), seed))
+    pi = LengthPrior(np.array([0.0] + [1.0 / (max_len - 1)] * (max_len - 1)))
+    return TrfModel(NeuralPotential(params), np.zeros(max_len), pi, ref, vocab)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 512])
+@pytest.mark.parametrize("reference", ["uniform", "ngram", "lstm"])
+@pytest.mark.parametrize("payload_size, emb_dim, hidden_dim", [(1, 3, 3), (4, 5, 3), (5, 2, 6)])
+def test_tree_scan_matches_chunked_path(monkeypatch, chunk, reference, payload_size,
+                                        emb_dim, hidden_dim):
+    # phi of every row and log Z of every supported length, tree scan against
+    # phi_batch over the same _length_space chunks
+    model = conv_free_model(reference, payload_size, emb_dim, hidden_dim, seed=payload_size)
+    monkeypatch.setattr(trf, "_CHUNK_ROWS", chunk)
+    for l in model.supported_lengths:
+        chunks = list(_length_space(model, l, budget=10 ** 6))
+        phi = np.concatenate([model.potential.phi_batch(ids) for ids in chunks])
+        tree = trf._space_phi(model, l)
+        assert tree.shape == phi.shape and np.abs(tree - phi).max() < 1e-12
+        chunked = logsumexp(np.concatenate(
+            [model.reference.log_q_batch(ids) for ids in chunks]) + phi)
+        assert abs(exact_log_z(model, l) - chunked) < 1e-12
+
+
+def counting_lstm_forward(monkeypatch):
+    """Wrap layers.lstm_forward; the returned list collects rows x steps."""
+    from trflm.seqnet import layers
+    seen = []
+    real = layers.lstm_forward
+
+    def counted(x, *args, **kwargs):
+        seen.append(x.shape[0] * x.shape[1])
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(layers, "lstm_forward", counted)
+    return seen
+
+
+@pytest.mark.parametrize("length, budget, message", [
+    (1, 10, "minimum is 2"),
+    (6, 10 ** 6, r"length 6 is past the model's lengths 2\.\.5"),
+    (5, 63, "needs 64 sequences, over the budget of 63"),
+])
+def test_tree_scan_errors_come_before_any_lstm_step(monkeypatch, length, budget, message):
+    model = conv_free_model("uniform", 4, 3, 3, seed=0)
+    seen = counting_lstm_forward(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        exact_log_z(model, length, budget)
+    assert seen == []
+
+
+def test_tree_scan_steps_each_prefix_once(monkeypatch):
+    # The perf guard: at length 5 over 27 payload symbols each direction steps
+    # its 1 + 27 + 27^2 small nodes once and its two 27^3 levels in chunks,
+    # 4 * 27^3 + 2 * 757 rows x steps, where scoring the 27^3 rows one by one
+    # takes 10 * 27^3. No row goes through phi_batch.
+    model = pilot_shaped_model()
+    seen = counting_lstm_forward(monkeypatch)
+    monkeypatch.setattr(NeuralPotential, "phi_batch", None)
+    exact_log_z(model, 5)
+    assert sum(seen) <= 4 * 27 ** 3 + 2 * (1 + 27 + 27 ** 2)
+
+
+def test_conv_potential_goes_through_phi_batch(monkeypatch):
+    vocab = Vocabulary(("<s>", "</s>", "<unk>", "a", "b"))
+    potential = NeuralPotential(init_potential_params(PotentialConfig(
+        vocab_size=5, emb_dim=4, bank_width=2, bank_channels=3, stack_layers=1,
+        hidden_dim=4), 0))
+    model = TrfModel(potential, np.zeros(4), LengthPrior(np.array([0.0, 0.0, 0.0, 1.0])),
+                     UniformReference(3), vocab)
+    rows = []
+    real = NeuralPotential.phi_batch
+    monkeypatch.setattr(NeuralPotential, "phi_batch",
+                        lambda self, ids: rows.append(len(ids)) or real(self, ids))
+    monkeypatch.setattr(trf, "potential_phi_space", None)
+    exact_log_z(model, 4)
+    assert sum(rows) == 9
+
+
+def test_exact_zeta_enumerates_each_length_once(monkeypatch):
+    model = pilot_shaped_model(payload_size=3)
+    calls = []
+    real = trf.exact_log_z
+    monkeypatch.setattr(trf, "exact_log_z",
+                        lambda m, l, budget: calls.append(l) or real(m, l, budget))
+    zs = exact_zeta(model, [5, 3, 5, 3])
+    assert calls == [5, 3] and list(zs) == [5, 3]
+    assert zs == {l: real(model, l) for l in (5, 3)}
+
+
 def test_length_space_errors(v4):
     pi = LengthPrior(np.array([0.0, 0.0, 0.0, 1.0]))
     model = TrfModel(zeroed_neural(4), np.zeros(4), pi, UniformReference(2), v4)

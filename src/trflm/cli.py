@@ -147,7 +147,7 @@ def load_config(path, check_paths: bool = True) -> ExperimentConfig:
             if section in cfg.raw and key in cfg.raw[section]:
                 p = cfg.path(section, key)
                 if not os.path.exists(p):
-                    raise ConfigError(f"path for {key!r} in [{section}] does not exist: {p}")
+                    raise ConfigError(f"path for {key!r} in [{section}] does not exist: {p!r}")
     return cfg
 
 
@@ -208,15 +208,12 @@ def builtin_pilot_words() -> list[str]:
     return [w for w in text.splitlines() if w]
 
 
-def split_pilot(words, valid_every: int = 13, offset: int = 6):
-    train = [w for i, w in enumerate(words) if i % valid_every != offset]
-    valid = [w for i, w in enumerate(words) if i % valid_every == offset]
-    return train, valid
+def split_pilot(words):
+    """(train, valid): every 13th word from the 7th is held out."""
+    return [w for i, w in enumerate(words) if i % 13 != 6], words[6::13]
 
 
 def cmd_make_pilot(args) -> int:
-    if args.valid_every < 1:
-        raise ValueError(f"--valid-every must be at least 1, got {args.valid_every}")
     if args.words:
         raw = [w.strip().lower() for w in read_text(args.words, "word list").split("\n")
                if w.strip()]
@@ -230,7 +227,7 @@ def cmd_make_pilot(args) -> int:
             words.append(w)
     if not words:
         raise ValueError("no words of the requested length in the input list")
-    train, valid = split_pilot(words, args.valid_every)
+    train, valid = split_pilot(words)
     os.makedirs(args.out, exist_ok=True)
     atomic_write_text(os.path.join(args.out, "train.txt"), "".join(w + "\n" for w in train))
     atomic_write_text(os.path.join(args.out, "valid.txt"), "".join(w + "\n" for w in valid))
@@ -249,8 +246,10 @@ def cmd_train_ngram(args) -> int:
     ngram_mod.export_arpa(model, vocab, os.path.join(out, "ngram.arpa"))
 
     def mean_logprob(seqs):
-        return sum(float(ngram_mod.logprob_sentence(model, np.array([s.ids]))[0])
-                   for s in seqs) / len(seqs)
+        rows = np.empty(len(seqs))   # in corpus order, so the sum adds them in that order
+        for idx, ids in corpus_mod.length_buckets(seqs):
+            rows[idx] = ngram_mod.logprob_sentence(model, ids)
+        return sum(map(float, rows)) / len(seqs)
 
     train_lp = mean_logprob(train)
     valid_lp = fmt(mean_logprob(valid)) if valid else ""
@@ -467,9 +466,7 @@ def cmd_gradcheck(args) -> int:
     from . import gradcheck as gc
     if args.seeds < 1:
         raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
-    if not (args.step > 0 and math.isfinite(args.step)):
-        raise ValueError(f"--step must be positive and finite, got {args.step}")
-    reports = gc.run_suite(range(args.seeds), args.step)
+    reports = gc.run_suite(range(args.seeds))
     worst = max(reports, key=lambda r: r.max_rel_error / r.threshold)
     for r in reports:
         if args.verbose or not r.passed:
@@ -489,7 +486,6 @@ def main(argv=None) -> int:
     p.add_argument("--out", required=True)
     p.add_argument("--words", help="optional source word list (default: bundled)")
     p.add_argument("--max-chars", type=int, default=3)
-    p.add_argument("--valid-every", type=int, default=13)
     p.set_defaults(func=cmd_make_pilot)
 
     for name, fn in (("train-ngram", cmd_train_ngram), ("train-lstm", cmd_train_lstm),
@@ -519,7 +515,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--step", type=float, default=1e-4)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_gradcheck)
 
@@ -529,7 +524,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, ValueError, Diverged) as exc:
+    except (OSError, ValueError, Diverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,6 +11,7 @@ present. Combination weights are tuned by grid search over the weight simplex
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,19 +219,15 @@ def corpus_wer(refs: dict[str, str], best: dict[str, str]) -> WerResult:
 
 # -- weight tuning -------------------------------------------------------------
 
-def _simplex_grid(k: int, step: float = 0.1):
-    """All nonnegative weight vectors of k entries summing to 1 on the grid."""
-    ticks = round(1.0 / step)
+GRID_TICKS = 10   # the weight grid's step is 1 / GRID_TICKS = 0.1
 
-    def rec(remaining, parts):
-        if len(parts) == k - 1:
-            yield parts + [remaining]
-            return
-        for t in range(remaining + 1):
-            yield from rec(remaining - t, parts + [t])
 
-    for combo in rec(ticks, []):
-        yield tuple(c / ticks for c in combo)
+def _simplex_grid(k: int):
+    """All nonnegative weight vectors of k entries summing to 1 in steps of
+    0.1, in lexicographic order."""
+    for head in itertools.product(range(GRID_TICKS + 1), repeat=k - 1):
+        if sum(head) <= GRID_TICKS:
+            yield tuple(c / GRID_TICKS for c in (*head, GRID_TICKS - sum(head)))
 
 
 @dataclass(frozen=True)
@@ -280,7 +277,7 @@ def rescore_with_weights(table: ScoreTable, weights, nbests) -> dict[str, str]:
     return {nb.utt_id: nb.hypotheses[i].text for nb, i in zip(nbests, picks)}
 
 
-def grid_search_weights(table: ScoreTable, nbests, refs, step: float = 0.1):
+def grid_search_weights(table: ScoreTable, nbests, refs):
     """Simplex grid search minimizing corpus WER; first minimizer wins. Each
     hypothesis's word errors are computed once."""
     if {nb.utt_id for nb in nbests} != set(refs):
@@ -291,7 +288,7 @@ def grid_search_weights(table: ScoreTable, nbests, refs, step: float = 0.1):
     ref_tokens = sum(len(r.split()) for r in refs.values())
     rows = np.arange(len(nbests))
     best_w, best_rate = None, np.inf
-    for w in _simplex_grid(table.scores.shape[2], step):
+    for w in _simplex_grid(table.scores.shape[2]):
         rate = int(errors[rows, _pick(table, np.asarray(w))].sum()) / ref_tokens
         if rate < best_rate - 1e-15:
             best_w, best_rate = w, rate

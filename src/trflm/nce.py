@@ -132,8 +132,9 @@ def nce_gradients(model: TrfModel, nd: NoiseDistribution, data_batch,
 
 
 class Adam:
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self):
         self.m: dict = {}
         self.v: dict = {}
         self.t = 0

@@ -15,9 +15,10 @@ log-sum-exp), which is the ground-truth oracle the estimated zeta is judged
 against; with_exact_zeta is the one model normalized by it. _length_space is
 the one enumerator: each chunk is scored by log_q_batch plus phi, and phi
 comes from one prefix-tree scan of the whole space when the potential has no
-convolutions (potential_phi_space), from phi_batch otherwise. total_mass
-always scores through phi_batch, so checking it against exact_log_z checks
-the tree scan against an independent path.
+convolutions and the space has at most _TREE_ROWS rows (potential_phi_space),
+from phi_batch otherwise. total_mass always scores through phi_batch, so
+checking it against exact_log_z checks the tree scan against an independent
+path.
 """
 from __future__ import annotations
 
@@ -36,6 +37,12 @@ DEFAULT_ENUM_BUDGET = 10_000_000
 # Rows per enumeration chunk, chosen by timing exact_zeta at 256 to 8192 rows:
 # one chunk's working set in the potential then stays near a core's L2 cache.
 _CHUNK_ROWS = 512
+# The largest length space, in rows, that potential_phi_space scores at once;
+# it holds the whole space, so larger ones stream through phi_batch. Under
+# tracemalloc at the pilot's width 16, spaces of up to 2^15 rows over 4 to 32
+# payload symbols peaked at 5.9-9.6 MB (42 MB over 2 symbols, whose tree has
+# as many inner nodes as leaves), and 2^16 rows over 16 symbols at 11.3 MB.
+_TREE_ROWS = 2 ** 15
 
 
 class UniformReference:
@@ -176,11 +183,15 @@ def _spell(vocab: Vocabulary, payload: np.ndarray, l: int, start: int, stop: int
 def _space_phi(model: TrfModel, l: int):
     """phi over the whole length-l space in _length_space's order, from one
     prefix-tree scan per LSTM direction, when the potential has no
-    convolutions; otherwise None, and the rows go through phi_batch."""
+    convolutions and the space has at most _TREE_ROWS rows; otherwise None,
+    and the rows go through phi_batch."""
     pot = model.potential
     if not isinstance(pot, NeuralPotential) or pot.config.bank_width or pot.config.stack_layers:
         return None
-    return potential_phi_space(pot.params, _payload(model), model.vocab.bos,
+    payload = _payload(model)
+    if len(payload) ** (l - 2) > _TREE_ROWS:
+        return None
+    return potential_phi_space(pot.params, payload, model.vocab.bos,
                                model.vocab.eos, l, _CHUNK_ROWS)
 
 

@@ -153,18 +153,12 @@ def test_training_recipe_takes_no_options(micro, capsys, key, value):
      "error: training diverged: non-finite loss or weights in epoch 0"),
     (["train-lstm"], ("lstm", "lr", "1e6"), "error: training diverged: train NLL "),
     (["train-lstm"], ("lstm", "lr", "1e300"), "error: training diverged: "),
-    (["make-pilot", "--out", "p", "--valid-every", "0"], None,
-     "error: --valid-every must be at least 1"),
     (["make-pilot", "--out", "p", "--max-chars", "0"], None,
      "error: no words of the requested length in the input list"),
     (["gradcheck", "--seeds", "0"], None, "error: --seeds must be at least 1"),
-    (["gradcheck", "--seeds", "1", "--step", "0"], None,
-     "error: --step must be positive and finite"),
-    (["gradcheck", "--seeds", "1", "--step", "nan"], None,
-     "error: --step must be positive and finite"),
 ], ids=["training-epochs", "training-batch_size", "training-lr_theta", "lstm-batch_size",
         "lstm-epochs", "lstm-lr-nan", "lstm-lr-negative", "lstm-lr-diverges", "lstm-lr-1e6",
-        "lstm-lr-1e300", "valid-every", "max-chars", "seeds", "step-zero", "step-nan"])
+        "lstm-lr-1e300", "max-chars", "seeds"])
 def test_bad_setting_is_one_error_line(micro, capsys, argv, setting, says):
     if setting:
         argv = argv + ["-c", "micro.ini"]
@@ -174,6 +168,30 @@ def test_bad_setting_is_one_error_line(micro, capsys, argv, setting, says):
     out, err = capsys.readouterr()
     assert err.startswith(says) and err.count("\n") == 1 and not out
     assert not os.path.exists("micro/out") and not os.path.exists("p")   # no partial output
+
+
+@pytest.mark.parametrize("argv", [["gradcheck", "--step", "1e-3"],
+                                  ["make-pilot", "--out", "p", "--valid-every", "7"]],
+                         ids=["step", "valid-every"])
+def test_fixed_settings_are_not_options(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+    assert not os.path.exists("p")
+
+
+@pytest.mark.parametrize("argv", [["train-trf", "-c", "d"], ["eval", "--model", "d", "--data", "d"],
+                                  ["make-pilot", "--out", "p", "--words", "d"]],
+                         ids=["train-trf", "eval", "make-pilot"])
+def test_directory_as_input_file_is_one_error_line(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("d")
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "'d'" in err and err.count("\n") == 1 and not out
+    assert not os.path.exists("p")
 
 
 def test_config_roundtrip_idempotent():
@@ -452,10 +470,18 @@ def test_rescore_id_mismatch_lists_ids(micro, capsys):
 
 
 def test_gradcheck_cli_passes_and_detects_faults(capsys, monkeypatch):
-    assert main(["gradcheck", "--seeds", "2"]) == 0
-    assert "pass" in capsys.readouterr().out
-
     from trflm import gradcheck as gc
+    instances = []
+    real_instance = gc._random_instance
+    monkeypatch.setattr(gc, "_random_instance",
+                        lambda seed: instances.append(seed) or real_instance(seed))
+    assert main(["gradcheck", "--seeds", "2", "--verbose"]) == 0
+    assert instances == [0, 1]   # one instance per seed serves its three checks
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in out[:-1]] == [
+        f"{label} seed={seed}" for seed in (0, 1) for label in ("phi/theta", "J/theta", "J/zeta")]
+    assert "pass" in out[-1]
+
     real = gc.potential_backward_batch
 
     def corrupted(params, cache, scales):

@@ -188,7 +188,7 @@ def test_combined_beats_each_corner_on_exhaustive_list():
 
 
 def test_grid_covers_simplex():
-    grid = list(evalkit._simplex_grid(3, 0.1))
+    grid = list(evalkit._simplex_grid(3))
     assert len(grid) == 66
     assert all(abs(sum(w) - 1.0) < 1e-12 for w in grid)
     assert (1.0, 0.0, 0.0) in grid and (0.0, 0.0, 1.0) in grid
@@ -325,7 +325,7 @@ def test_grid_search_matches_brute_force_loop(seed):
                TableScorer({t: -np.inf if rng.random() < 0.3 else -1.0 for t in texts})]
     table = precompute_member_scores(members, nbests)
     brute_w, brute_rate = None, np.inf
-    for w in evalkit._simplex_grid(3, 0.1):
+    for w in evalkit._simplex_grid(3):
         picked = rescore_with_weights(table, w, nbests)
         assert picked == brute_force_pick(members, w, nbests)
         rate = corpus_wer(refs, picked).rate

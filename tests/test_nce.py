@@ -188,9 +188,8 @@ def test_last_epoch_gaps_match_zeta_gap(setting):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_gradients_match_finite_differences(seed):
-    from trflm.gradcheck import check_nce_theta, check_nce_zeta
-    rt = check_nce_theta(seed)
-    rz = check_nce_zeta(seed)
+    from trflm.gradcheck import check_seed
+    _, rt, rz = check_seed(seed)
     assert rt.passed, f"{rt.worst_tensor}: {rt.max_rel_error}"
     assert rz.passed, rz.max_rel_error
 

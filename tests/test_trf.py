@@ -247,6 +247,21 @@ def test_conv_potential_goes_through_phi_batch(monkeypatch):
     assert sum(rows) == 9
 
 
+def test_space_over_the_tree_cap_goes_through_phi_batch(monkeypatch):
+    # The tree holds a whole length's space; one over _TREE_ROWS streams
+    # through phi_batch in chunks instead, to the same log Z.
+    model = conv_free_model("uniform", 4, 3, 3, seed=0)
+    tree = exact_log_z(model, 5)                      # 4^3 = 64 rows
+    rows = []
+    real = NeuralPotential.phi_batch
+    monkeypatch.setattr(NeuralPotential, "phi_batch",
+                        lambda self, ids: rows.append(len(ids)) or real(self, ids))
+    monkeypatch.setattr(trf, "potential_phi_space", None)
+    monkeypatch.setattr(trf, "_TREE_ROWS", 63)
+    assert abs(exact_log_z(model, 5) - tree) < 1e-12
+    assert sum(rows) == 64
+
+
 def test_exact_zeta_enumerates_each_length_once(monkeypatch):
     model = pilot_shaped_model(payload_size=3)
     calls = []

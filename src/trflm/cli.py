@@ -26,7 +26,7 @@ from .seqnet import (LstmLmConfig, PotentialConfig, NeuralPotential,
                      lstm_lm_logprob_batch, lstm_lm_train_step)
 from .trf import (DEFAULT_ENUM_BUDGET, TrfModel, exact_zeta, nll as trf_nll,
                   with_exact_zeta, zeta_init_vector)
-from .util import atomic_write_text, derive_rng, fmt, read_text
+from .util import atomic_write_text, derive_rng, fmt, read_text, retain_freed_memory
 
 
 class ConfigError(Exception):
@@ -479,6 +479,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def main(argv=None) -> int:
+    retain_freed_memory()
     parser = argparse.ArgumentParser(prog="trflm")
     sub = parser.add_subparsers(dest="command", required=True)
 

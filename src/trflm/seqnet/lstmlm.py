@@ -62,9 +62,10 @@ def _check_batch(cfg: LstmLmConfig, ids: np.ndarray) -> None:
     n, length = ids.shape
     if length < 2 or length > cfg.max_len:
         raise ValueError(f"sequence length {length} outside 2..{cfg.max_len}")
-    if np.any(ids[:, 0] != cfg.bos) or np.any(ids[:, -1] != cfg.eos):
+    if (ids[:, 0] != cfg.bos).any() or (ids[:, -1] != cfg.eos).any():
         raise ValueError("sequences must be [begin, payload..., end]")
-    if length > 2 and np.any(np.isin(ids[:, 1:-1], (cfg.bos, cfg.eos))):
+    payload = ids[:, 1:-1]
+    if ((payload == cfg.bos) | (payload == cfg.eos)).any():
         raise ValueError("boundary symbol inside payload")
 
 

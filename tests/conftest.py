@@ -1,7 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 
 from trflm.corpus import Vocabulary
+from trflm.util import retain_freed_memory
+
+retain_freed_memory()   # as trflm.cli.main does, so tier-1 runs as the CLI does
 
 
 class TabularPotential:
@@ -23,3 +28,10 @@ class TabularPotential:
 def tiny_vocab():
     # payload symbols: <unk>, a, b
     return Vocabulary(("<s>", "</s>", "<unk>", "a", "b"))
+
+
+@pytest.fixture(scope="session")
+def seed_reports():
+    """gradcheck.check_seed, computed once per seed for the whole session."""
+    from trflm.gradcheck import check_seed
+    return functools.cache(check_seed)

@@ -60,7 +60,7 @@ from trflm.seqnet import (LstmLmConfig, NeuralPotential, PotentialConfig,
                           lstm_lm_train_step)
 from trflm.trf import (LstmReference, TrfModel, UniformReference, exact_zeta,
                        total_mass, zeta_init_vector)
-from trflm.util import derive_rng
+from trflm.util import derive_rng, retain_freed_memory
 
 
 def report(tag: str, ok: bool, detail: str) -> bool:
@@ -146,13 +146,14 @@ def ablation_curves(pilot_setting):
     else:
         # One BLAS thread per worker: on a 2-core host, two workers with a
         # BLAS thread per core each took the fixture 78 s against 33 s.
-        # Leaving the pool joins every worker; if an arm raises, map cancels
-        # the arms not yet started.
+        # Spawned workers never import conftest, so each keeps freed memory
+        # itself. Leaving the pool joins every worker; if an arm raises, map
+        # cancels the arms not yet started.
         with pytest.MonkeyPatch.context() as env:
             for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
                 env.setenv(var, "1")
-            with ProcessPoolExecutor(workers,
-                                     mp_context=multiprocessing.get_context("spawn")) as pool:
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
+                                     initializer=retain_freed_memory) as pool:
                 results = list(pool.map(train_arm, *columns))
     runs = {}
     for (nu, order, _), result in zip(arms, results):

@@ -187,9 +187,11 @@ def test_last_epoch_gaps_match_zeta_gap(setting):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_gradients_match_finite_differences(seed):
-    from trflm.gradcheck import check_seed
-    _, rt, rz = check_seed(seed)
+def test_gradients_match_finite_differences(seed, seed_reports):
+    # phi/theta through the batch API, and the NCE objective's J/theta and
+    # J/zeta, from one check_seed instance per seed, shared with test_seqnet
+    rp, rt, rz = seed_reports(seed)
+    assert rp.passed, f"{rp.worst_tensor}: {rp.max_rel_error}"
     assert rt.passed, f"{rt.worst_tensor}: {rt.max_rel_error}"
     assert rz.passed, rz.max_rel_error
 

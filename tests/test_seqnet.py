@@ -109,9 +109,8 @@ def test_dimension_errors():
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_potential_gradient_matches_finite_differences(seed):
-    from trflm.gradcheck import check_seed
-    report = check_seed(seed)[0]
+def test_potential_gradient_matches_finite_differences(seed, seed_reports):
+    report = seed_reports(seed)[0]
     assert report.passed, f"{report.worst_tensor}: {report.max_rel_error}"
 
 
@@ -267,6 +266,8 @@ def test_lstm_lm_rejects_bad_sequences():
         lstm_lm_logprob_batch(params, np.array([(0, 3, 3, 3, 1)]))   # too long
     with pytest.raises(ValueError):
         lstm_lm_logprob_batch(params, np.array([(3, 4, 1)]))          # no begin
+    with pytest.raises(ValueError, match="boundary symbol inside payload"):
+        lstm_lm_logprob_batch(params, np.array([(0, 3, 1, 1)]))       # end inside payload
 
 
 def assert_lm_gradient_matches_finite_differences(max_len, batch):

@@ -1,6 +1,6 @@
 import itertools
 import math
-
+import resource
 import tracemalloc
 
 import numpy as np
@@ -15,7 +15,7 @@ from trflm.trf import (LstmReference, NgramReference, TrfModel,
                        UniformReference, _length_space, exact_log_z, exact_zeta,
                        log_joint, nll, total_mass, with_exact_zeta, zeta_gap,
                        zeta_init_vector)
-from trflm.util import logsumexp
+from trflm.util import logsumexp, retain_freed_memory
 
 
 def zeroed_neural(vocab_size=5, **kw):
@@ -92,13 +92,14 @@ def test_length_space_matches_itertools_product(payload_len):
     assert np.array_equal(np.concatenate(chunks), expect)
 
 
-def pilot_shaped_model(payload_size=27, max_len=5, seed=0):
-    """The pilot's shape: a BLSTM potential of width 16 over a uniform
-    reference, every length 2..max_len supported."""
+def pilot_shaped_model(payload_size=27, max_len=5, seed=0, **conv):
+    """The pilot's shape: a BLSTM potential of width 16 (after the
+    convolutions `conv` names, if any) over a uniform reference, every length
+    2..max_len supported."""
     vocab = Vocabulary(("<s>", "</s>", "<unk>")
                        + tuple(f"w{i}" for i in range(payload_size - 1)))
     params = init_potential_params(
-        PotentialConfig(vocab_size=vocab.size, emb_dim=16, hidden_dim=16), seed)
+        PotentialConfig(vocab_size=vocab.size, emb_dim=16, hidden_dim=16, **conv), seed)
     pi = LengthPrior(np.array([0.0] + [1.0 / (max_len - 1)] * (max_len - 1)))
     return TrfModel(NeuralPotential(params), np.zeros(max_len), pi,
                     UniformReference(len(vocab.payload_ids)), vocab)
@@ -149,6 +150,19 @@ def test_exact_zeta_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 10e6
+
+
+def test_paper_shaped_enumeration_stops_refaulting():
+    # Each 512-row chunk of the paper's potential allocates ~10 MB of numpy
+    # temporaries. With freed memory kept in the process, a second enumeration
+    # reuses the first one's pages: 0 minor faults, against ~97,000 without.
+    model = pilot_shaped_model(bank_width=3, bank_channels=8, stack_layers=2)
+    if not retain_freed_memory():
+        pytest.skip("the C library has no mallopt")
+    exact_log_z(model, 5)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    exact_log_z(model, 5)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
 
 
 def conv_free_model(reference, payload_size, emb_dim, hidden_dim, seed, max_len=5):

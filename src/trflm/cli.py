@@ -292,8 +292,7 @@ def cmd_train_lstm(args) -> int:
                 losses.append(nll_step)
             for _, ids in corpus_mod.length_buckets(valid or []):
                 valid_sums.append(float(-lstm_lm_logprob_batch(params, ids).sum()))
-        if not (np.isfinite(losses + valid_sums).all()
-                and all(np.isfinite(v).all() for v in params.tensors.values())):
+        if not (np.isfinite(losses + valid_sums).all() and np.isfinite(params.flat).all()):
             raise Diverged(f"training diverged: non-finite loss or weights in epoch {epoch}")
         train_nll = float(np.mean(losses))
         if train_nll > 2 * initial_nll:

@@ -76,12 +76,6 @@ class Sequence:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __iter__(self):
-        return iter(self.ids)
-
-    def __getitem__(self, i):
-        return self.ids[i]
-
 
 @dataclass(frozen=True)
 class LengthPrior:

@@ -146,7 +146,7 @@ def check_seed(seed: int) -> tuple[GradCheckReport, GradCheckReport, GradCheckRe
     ids = np.array([seq.ids], dtype=np.int64)
     scale = 1.7   # exercise the upstream-scale path, not just scale 1
     _, cache = potential_phi_batch(params, ids)
-    analytic = potential_backward_batch(params, cache, np.array([scale]))
+    analytic = params.views(potential_backward_batch(params, cache, np.array([scale])))
     numeric = numeric_grad_tensors(
         lambda: scale * float(potential_phi_batch(params, ids)[0][0]), params.tensors)
     phi = _worst(relative_errors(analytic, numeric), f"phi/theta seed={seed}", 1e-5)
@@ -156,7 +156,7 @@ def check_seed(seed: int) -> tuple[GradCheckReport, GradCheckReport, GradCheckRe
 
     g_theta, g_zeta, _ = nce_gradients(model, nd, data, noise)
     numeric = numeric_grad_tensors(objective, params.tensors)
-    theta = _worst(relative_errors(g_theta, numeric), f"J/theta seed={seed}", 1e-5)
+    theta = _worst(relative_errors(params.views(g_theta), numeric), f"J/theta seed={seed}", 1e-5)
     numeric = numeric_grad_tensors(objective, {"zeta": model.zeta})
     zeta = _worst(relative_errors({"zeta": g_zeta}, numeric), f"J/zeta seed={seed}", 1e-6)
     return phi, theta, zeta

@@ -113,45 +113,40 @@ def nce_gradients(model: TrfModel, nd: NoiseDistribution, data_batch,
     w_d, w_n = classification_weights(p0, n)
     scales = np.concatenate([w_d[:n], w_n[n:]])
 
-    grad_theta = params.zeros_like()
+    grad_theta = np.zeros_like(params.flat)
     grad_zeta = np.zeros_like(model.zeta)
     for l, idx, cache in buckets:
-        g = potential_backward_batch(params, cache, scales[idx])
-        for k in grad_theta:
-            grad_theta[k] += g[k]
+        grad_theta += potential_backward_batch(params, cache, scales[idx])
         grad_zeta[l - 1] -= float(scales[idx].sum())
 
     stats = NceStepStats(
         j=_objective(delta, n, noise_batch.nu),
         mean_post_data=float(p0[:n].mean()),
         mean_post_noise=float(p0[n:].mean()),
-        grad_norm_theta=float(np.sqrt(sum(float((g ** 2).sum()) for g in grad_theta.values()))),
+        grad_norm_theta=float(np.sqrt(sum(float((g ** 2).sum())
+                                          for g in params.views(grad_theta).values()))),
         grad_norm_zeta=float(np.sqrt((grad_zeta ** 2).sum())),
     )
     return grad_theta, grad_zeta, stats
 
 
 class Adam:
+    """Adam over a vector of `size` entries: step(x, g, lr) moves x against g in place."""
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self):
-        self.m: dict = {}
-        self.v: dict = {}
-        self.t = 0
+    def __init__(self, size: int):
+        self.m, self.v, self.t = np.zeros(size), np.zeros(size), 0
 
-    def step(self, tensors, grads, lr):
+    def step(self, x, g, lr):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        for k, g in grads.items():
-            m = self.m.setdefault(k, np.zeros_like(g))
-            v = self.v.setdefault(k, np.zeros_like(g))
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            mhat = m / (1 - b1 ** self.t)
-            vhat = v / (1 - b2 ** self.t)
-            tensors[k] -= lr * mhat / (np.sqrt(vhat) + self.eps)
+        b1, b2, m, v = self.beta1, self.beta2, self.m, self.v
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        mhat = m / (1 - b1 ** self.t)
+        vhat = v / (1 - b2 ** self.t)
+        x -= lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
 class Diverged(RuntimeError):
@@ -185,7 +180,7 @@ def train(model: TrfModel, nd: NoiseDistribution, dataset, config: NceConfig,
     data_log_pn = noise_logprob_batch(nd, dataset)   # once: data are fixed
     shuffle_rng = derive_rng(config.seed, "shuffle")
     noise_rng = derive_rng(config.seed, "noise")
-    opt_theta, opt_zeta = Adam(), Adam()
+    opt_theta, opt_zeta = Adam(model.potential.params.flat.size), Adam(model.zeta.size)
 
     result = TrainResult()
     for epoch in range(config.epochs):
@@ -198,15 +193,14 @@ def train(model: TrfModel, nd: NoiseDistribution, dataset, config: NceConfig,
             with np.errstate(over="ignore", invalid="ignore"):
                 g_theta, g_zeta, stats = nce_gradients(model, nd, data_batch, noise_batch,
                                                        data_log_pn[rows])
-            for name, g in [*g_theta.items(), ("zeta", g_zeta)]:
+            for name, g in [*model.potential.params.views(g_theta).items(), ("zeta", g_zeta)]:
                 if not np.all(np.isfinite(g)):
                     raise Diverged(f"training diverged: non-finite gradient in {name!r} "
                                    f"at step {len(result.steps)}")
             g_zeta[frozen] = 0.0
             # maximize J: descend on -J
-            opt_theta.step(model.potential.params.tensors,
-                           {k: -g for k, g in g_theta.items()}, config.lr_theta)
-            opt_zeta.step({"zeta": model.zeta}, {"zeta": -g_zeta}, config.lr_zeta)
+            opt_theta.step(model.potential.params.flat, -g_theta, config.lr_theta)
+            opt_zeta.step(model.zeta, -g_zeta, config.lr_zeta)
             result.steps.append((epoch, stats))
         train_nll = trf_nll(model, dataset)
         valid_nll = gap_sq = gaps = None

@@ -6,6 +6,7 @@ Batches hold same-length sequences, so no masking is needed anywhere.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,20 +14,29 @@ import numpy as np
 
 @dataclass
 class Params:
-    """A network's config and its weights, one tensor per config.param_shapes() entry."""
+    """A network's config and its weights: one float64 vector, laid out by views()."""
 
     config: object
-    tensors: dict[str, np.ndarray] = field(repr=False)
+    flat: np.ndarray = field(repr=False)
+    tensors: dict[str, np.ndarray] = field(init=False, repr=False)   # views(flat)
 
-    def zeros_like(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.tensors.items()}
+    def __post_init__(self):
+        self.tensors = self.views(self.flat)
+
+    def views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
+        """vec, laid out as flat (a gradient, say), as one named view per tensor."""
+        out, start = {}, 0
+        for name, shape in self.config.param_shapes():
+            out[name] = vec[start:start + math.prod(shape)].reshape(shape)
+            start += out[name].size
+        return out
 
 
 def init_params(config, seed=0, scale: float = 0.1) -> Params:
-    """Each tensor of config.param_shapes() in turn, uniform on [-scale, scale]."""
+    """Uniform weights on [-scale, scale], drawn in config.param_shapes() order."""
     rng = np.random.default_rng(seed) if isinstance(seed, int) else seed
-    return Params(config, {name: rng.uniform(-scale, scale, size=shape)
-                           for name, shape in config.param_shapes()})
+    size = sum(math.prod(shape) for _, shape in config.param_shapes())
+    return Params(config, rng.uniform(-scale, scale, size=size))
 
 
 def conv1d_forward(x, w, b):

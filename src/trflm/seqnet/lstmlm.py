@@ -111,11 +111,12 @@ def lstm_lm_logprob_batch(params: layers.Params, ids) -> np.ndarray:
     return (logits[run, cols, ids[:, 1:steps + 1]] - lse[run, cols]).sum(axis=1)
 
 
-def lstm_lm_loss_grads(params: layers.Params, batch) -> tuple[float, dict]:
-    """Mean per-sequence negative log-probability and its parameter gradient."""
+def lstm_lm_loss_grads(params: layers.Params, batch) -> tuple[float, np.ndarray]:
+    """Mean per-sequence negative log-probability and its flat parameter gradient."""
     cfg = params.config
     t = params.tensors
-    grads = params.zeros_like()
+    flat = np.zeros_like(params.flat)
+    grads = params.views(flat)
     total_nll = 0.0
     n_total = len(batch)
     for _, ids in length_buckets(batch):
@@ -142,12 +143,11 @@ def lstm_lm_loss_grads(params: layers.Params, batch) -> tuple[float, dict]:
             grads[f"lstm{i}_w"] += dw
             grads[f"lstm{i}_b"] += db
         grads["emb"] += layers.embedding_backward(dh, inputs, t["emb"].shape)
-    return total_nll / n_total, grads
+    return total_nll / n_total, flat
 
 
 def lstm_lm_train_step(params: layers.Params, batch, lr: float) -> tuple[layers.Params, float]:
     """One SGD step on the mean NLL of the batch; returns new params and the
     NLL measured before the update."""
     nll, grads = lstm_lm_loss_grads(params, batch)
-    tensors = {k: v - lr * grads[k] for k, v in params.tensors.items()}
-    return layers.Params(params.config, tensors), nll
+    return layers.Params(params.config, params.flat - lr * grads), nll

@@ -38,6 +38,9 @@ class PotentialConfig:
     def __post_init__(self):
         if self.vocab_size < 3 or self.emb_dim < 1 or self.hidden_dim < 1:
             raise ValueError("inconsistent potential dimensions")
+        for name in ("bank_width", "bank_channels", "stack_layers"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
         if self.bank_width > 0 and self.bank_channels < 1:
             raise ValueError("bank_channels must be >= 1 when the bank is enabled")
         if self.bank_width > 0 and self.stack_layers < 1:
@@ -118,27 +121,27 @@ def potential_phi_batch(params: layers.Params, ids) -> tuple[np.ndarray, dict]:
     return phi, cache
 
 
-def potential_backward_batch(params: layers.Params, cache: dict,
-                             scales) -> dict[str, np.ndarray]:
-    """Accumulated gradient sum_n scales[n] * d phi_n / d theta."""
+def potential_backward_batch(params: layers.Params, cache: dict, scales) -> np.ndarray:
+    """Accumulated gradient sum_n scales[n] * d phi_n / d theta, laid out as params.flat."""
     cfg = params.config
     t = params.tensors
     scales = np.asarray(scales, dtype=np.float64)
     ids = cache["ids"]
     h, alpha, u = cache["h"], cache["alpha"], cache["u"]
-    grads = params.zeros_like()
+    flat = np.empty_like(params.flat)
+    g = params.views(flat)   # every view is written below
 
-    grads["bias"] = np.asarray(scales.sum())
+    g["bias"][...] = scales.sum()
     salpha = scales[:, None] * alpha
     su = scales[:, None] * u
-    grads["att_beta"] = np.einsum("nl,nld->d", su, h)
-    grads["att_lambda"] = np.einsum("nl,nld->d", salpha, h)
+    g["att_beta"][...] = np.einsum("nl,nld->d", su, h)
+    g["att_lambda"][...] = np.einsum("nl,nld->d", salpha, h)
     dh = su[:, :, None] * t["att_beta"] + salpha[:, :, None] * t["att_lambda"]
 
     d = cfg.hidden_dim
-    dx_fw, grads["lstm_fw_w"], grads["lstm_fw_b"] = layers.lstm_backward(
+    dx_fw, g["lstm_fw_w"][...], g["lstm_fw_b"][...] = layers.lstm_backward(
         dh[:, :, :d], cache["lstm_fw"])
-    dx_bw_rev, grads["lstm_bw_w"], grads["lstm_bw_b"] = layers.lstm_backward(
+    dx_bw_rev, g["lstm_bw_w"][...], g["lstm_bw_b"][...] = layers.lstm_backward(
         dh[:, ::-1, d:], cache["lstm_bw"])
     dx = dx_fw + dx_bw_rev[:, ::-1, :]
 
@@ -146,20 +149,20 @@ def potential_backward_batch(params: layers.Params, cache: dict,
     for i in reversed(range(1, cfg.stack_layers + 1)):
         ck, cr = cache["stack"][i - 1]
         dx = layers.relu_backward(dx, cr)
-        dx, grads[f"stack{i}_w"], grads[f"stack{i}_b"] = layers.conv1d_backward(dx, ck)
+        dx, g[f"stack{i}_w"][...], g[f"stack{i}_b"][...] = layers.conv1d_backward(dx, ck)
     if cfg.bank_width > 0:
         f = cfg.bank_channels
         parts = []
         for k in range(1, cfg.bank_width + 1):
             ck, cr = cache["bank"][k - 1]
             dk = layers.relu_backward(dx[:, :, (k - 1) * f: k * f], cr)
-            dk, grads[f"bank{k}_w"], grads[f"bank{k}_b"] = layers.conv1d_backward(dk, ck)
+            dk, g[f"bank{k}_w"][...], g[f"bank{k}_b"][...] = layers.conv1d_backward(dk, ck)
             parts.append(dk)
         dx = sum(parts)
     if demb is not None:
         dx = dx + demb
-    grads["emb"] = layers.embedding_backward(dx, ids, t["emb"].shape)
-    return grads
+    g["emb"][...] = layers.embedding_backward(dx, ids, t["emb"].shape)
+    return flat
 
 
 def _children(h, c, inputs):

@@ -63,14 +63,13 @@ def _params_from_doc(doc, fmt: str, config_class) -> Params:
     if shapes.keys() != entries.keys():
         raise ValueError(f"missing tensors {sorted(shapes.keys() - entries.keys())}, "
                          f"unexpected {sorted(entries.keys() - shapes.keys())}")
-    tensors = {}
+    parts = []
     for name, shape in shapes.items():
         entry = entries[name] if isinstance(entries[name], dict) else {}
-        data = _finite_vector(entry.get("data"), f"the data of tensor {name!r}")
-        if entry.get("shape") != list(shape) or data.size != math.prod(shape):
+        parts.append(_finite_vector(entry.get("data"), f"the data of tensor {name!r}"))
+        if entry.get("shape") != list(shape) or parts[-1].size != math.prod(shape):
             raise ValueError(f"tensor {name!r} must have shape {list(shape)} and that many values")
-        tensors[name] = data.reshape(shape)
-    return Params(config, tensors)
+    return Params(config, np.concatenate(parts))
 
 
 def save_potential(params: Params, path) -> None:

@@ -20,9 +20,6 @@ class TabularPotential:
         return np.array([self.table.get(tuple(int(i) for i in row), self.default)
                          for row in np.asarray(ids)])
 
-    def phi(self, seq):
-        return float(self.phi_batch(np.array([tuple(seq.ids)]))[0])
-
 
 @pytest.fixture
 def tiny_vocab():

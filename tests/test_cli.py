@@ -170,6 +170,17 @@ def test_bad_setting_is_one_error_line(micro, capsys, argv, setting, says):
     assert not os.path.exists("micro/out") and not os.path.exists("p")   # no partial output
 
 
+def test_negative_convolution_sizes_are_one_error_line(micro, capsys):
+    # -1 is truthy, so such a model would pass for one with convolutions
+    sizes = "bank_width = -1\nbank_channels = -5\nstack_layers = -2\n"
+    with open("micro.ini", "w") as f:
+        f.write(MICRO_CONFIG.replace("[model]\n", "[model]\n" + sizes))
+    assert main(["train-trf", "-c", "micro.ini"]) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: bank_width must not be negative, got -1\n" and not out
+    assert not os.path.exists("micro/out")
+
+
 @pytest.mark.parametrize("argv", [["gradcheck", "--step", "1e-3"],
                                   ["make-pilot", "--out", "p", "--valid-every", "7"]],
                          ids=["step", "valid-every"])
@@ -486,7 +497,7 @@ def test_gradcheck_cli_passes_and_detects_faults(capsys, monkeypatch):
 
     def corrupted(params, cache, scales):
         grads = real(params, cache, scales)
-        grads["att_beta"] = grads["att_beta"] * 1.01
+        params.views(grads)["att_beta"] *= 1.01
         return grads
 
     monkeypatch.setattr(gc, "potential_backward_batch", corrupted)

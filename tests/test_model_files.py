@@ -89,3 +89,23 @@ def test_reader_returns_or_names_the_file(model_files, kind):
             assert str(fuzzed) in str(exc)
 
     check()
+
+
+def test_negative_convolution_size_names_the_file(model_files):
+    path, doc = model_files["potential"]
+    doc = copy.deepcopy(doc)
+    doc["config"]["stack_layers"] = -1
+    bad = path.parent / "negative-potential.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="stack_layers must not be negative") as exc:
+        serialize.load_potential(bad)
+    assert str(bad) in str(exc.value)
+
+
+@pytest.mark.parametrize("kind", ["potential", "lstm"])
+def test_loaded_tensors_are_views_of_one_vector(model_files, kind):
+    params = READERS[kind](model_files[kind][0])
+    assert all(np.shares_memory(v, params.flat) for v in params.tensors.values())
+    params.flat[:] = np.arange(params.flat.size)   # the views tile flat in order
+    assert np.array_equal(np.concatenate([v.ravel() for v in params.tensors.values()]),
+                          params.flat)

@@ -206,8 +206,7 @@ def test_single_ascent_step_increases_objective(setting):
     before = nce_objective(model, nd, batch, noise)
     g_theta, g_zeta, _ = nce_gradients(model, nd, batch, noise)
     lr = 1e-3
-    for k, g in g_theta.items():
-        model.potential.params.tensors[k] += lr * g
+    model.potential.params.flat += lr * g_theta
     model.zeta += lr * g_zeta
     assert nce_objective(model, nd, batch, noise) > before
 
@@ -215,11 +214,31 @@ def test_single_ascent_step_increases_objective(setting):
 def test_adam_matches_reference_formula():
     g = np.array([0.3, -0.2])
     x = np.array([1.0, 1.0])
-    opt = Adam()
-    opt.step({"x": x}, {"x": g}, lr=0.1)
+    opt = Adam(2)
+    opt.step(x, g, lr=0.1)
     # first step: mhat = g, vhat = g^2 -> update = lr * sign-ish
     expect = 1.0 - 0.1 * g / (np.abs(g) + 1e-8)
     assert np.allclose(x, expect, atol=1e-9)
+
+
+def test_adam_on_one_vector_matches_per_tensor_adam():
+    params = init_potential_params(PotentialConfig(vocab_size=6, emb_dim=3, bank_width=2,
+                                                   bank_channels=2, stack_layers=1,
+                                                   hidden_dim=3), 0)
+    tensors = {k: v.copy() for k, v in params.tensors.items()}
+    m = {k: np.zeros_like(v) for k, v in tensors.items()}
+    v = {k: np.zeros_like(w) for k, w in tensors.items()}
+    opt, rng = Adam(params.flat.size), np.random.default_rng(1)
+    for t in range(1, 6):
+        g = rng.normal(size=params.flat.size)
+        opt.step(params.flat, g, 0.01)
+        for k, gk in params.views(g).items():   # Adam one tensor at a time
+            m[k] = m[k] * 0.9 + (1 - 0.9) * gk
+            v[k] = v[k] * 0.999 + (1 - 0.999) * gk * gk
+            mhat, vhat = m[k] / (1 - 0.9 ** t), v[k] / (1 - 0.999 ** t)
+            tensors[k] -= 0.01 * mhat / (np.sqrt(vhat) + 1e-8)
+    for k, w in tensors.items():
+        assert np.array_equal(params.tensors[k], w), k
 
 
 def run_training(setting, seed=0, epochs=3, zeta_init="zeros"):

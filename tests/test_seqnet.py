@@ -29,6 +29,21 @@ def phi_of(params, x):
     return float(phi[0]), cache
 
 
+@pytest.mark.parametrize("config", [
+    PotentialConfig(vocab_size=29, emb_dim=16, hidden_dim=16),
+    PotentialConfig(vocab_size=29, emb_dim=16, bank_width=3, bank_channels=8,
+                    stack_layers=2, hidden_dim=16),
+    LstmLmConfig(vocab_size=29, emb_dim=12, hidden_dim=24, max_len=5),
+], ids=["pilot-potential", "paper-potential", "refs-lstm-lm"])
+def test_init_params_draws_each_tensor_in_turn(config):
+    # one draw over the flat vector gives the weights of one draw per tensor
+    params = layers.init_params(config, np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    for name, shape in config.param_shapes():
+        assert np.array_equal(params.tensors[name], rng.uniform(-0.1, 0.1, size=shape)), name
+    assert all(np.shares_memory(v, params.flat) for v in params.tensors.values())
+
+
 def test_zero_attention_score_collapses_to_bias():
     params = small_params()
     params.tensors["att_beta"][:] = 0.0
@@ -90,14 +105,14 @@ def test_bias_gradient_is_upstream_scale():
     x = seq(0, 4, 1)
     _, cache = phi_of(params, x)
     grads = potential_backward_batch(params, cache, np.array([3.25]))
-    assert float(grads["bias"]) == 3.25
+    assert float(params.views(grads)["bias"]) == 3.25
 
 
 def test_zero_upstream_gives_zero_gradient():
     params = small_params()
     _, cache = phi_of(params, seq(0, 4, 1))
     grads = potential_backward_batch(params, cache, np.array([0.0]))
-    assert all(np.all(g == 0.0) for g in grads.values())
+    assert np.all(grads == 0.0)
 
 
 def test_dimension_errors():
@@ -275,7 +290,7 @@ def assert_lm_gradient_matches_finite_differences(max_len, batch):
     _, grads = lstm_lm_loss_grads(params, batch)
     numeric = numeric_grad_tensors(
         lambda: lstm_lm_loss_grads(params, batch)[0], params.tensors)
-    errs = relative_errors(grads, numeric)
+    errs = relative_errors(params.views(grads), numeric)
     assert max(errs.values()) < 1e-5, errs
 
 
@@ -294,7 +309,7 @@ def test_lstm_lm_max_len_two_is_certain():
     params = init_lstm_lm_params(lm_cfg(max_len=2), seed=4)
     assert lstm_lm_logprob_batch(params, np.array([(0, 1), (0, 1)])).tolist() == [0.0, 0.0]
     nll, grads = lstm_lm_loss_grads(params, [seq(0, 1)])
-    assert nll == 0.0 and all(not g.any() for g in grads.values())
+    assert nll == 0.0 and not grads.any()
 
 
 def lexicographic_space(vocab_size, length):

@@ -23,7 +23,7 @@ from .nce import Diverged, NceConfig, train as nce_train
 from .noise import NoiseDistribution
 from .seqnet import (LstmLmConfig, PotentialConfig, NeuralPotential,
                      init_lstm_lm_params, init_potential_params,
-                     lstm_lm_logprob_batch, lstm_lm_train_step)
+                     lstm_lm_logprob_batch, lstm_lm_train_epoch)
 from .trf import (DEFAULT_ENUM_BUDGET, TrfModel, exact_zeta, nll as trf_nll,
                   with_exact_zeta, zeta_init_vector)
 from .util import atomic_write_text, derive_rng, fmt, read_text, retain_freed_memory
@@ -279,17 +279,14 @@ def cmd_train_lstm(args) -> int:
     for key, value in (("batch_size", bsz), ("epochs", epochs)):
         if value < 1:
             raise ConfigError(f"key {key!r} in [lstm] must be at least 1, got {value}")
+    buckets = list(corpus_mod.length_buckets(train))
     initial_nll = -sum(float(lstm_lm_logprob_batch(params, ids).sum())
-                       for _, ids in corpus_mod.length_buckets(train)) / len(train)
+                       for _, ids in buckets) / len(train)
     rows = ["epoch,train_nll,valid_nll"]
     for epoch in range(epochs):
-        order = rng.permutation(len(train))
-        losses, valid_sums = [], []
+        valid_sums = []
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(0, len(train), bsz):
-                batch = [train[j] for j in order[i:i + bsz]]
-                params, nll_step = lstm_lm_train_step(params, batch, lr)
-                losses.append(nll_step)
+            losses = lstm_lm_train_epoch(params, buckets, rng, bsz, lr)
             for _, ids in corpus_mod.length_buckets(valid or []):
                 valid_sums.append(float(-lstm_lm_logprob_batch(params, ids).sum()))
         if not (np.isfinite(losses + valid_sums).all() and np.isfinite(params.flat).all()):

@@ -163,10 +163,17 @@ def save_vocabulary(vocab: Vocabulary, path) -> None:
 
 
 def load_vocabulary(path) -> Vocabulary:
+    """The vocabulary saved by save_vocabulary. Each symbol must be one
+    whitespace-free token, as tokenize yields: an empty line or one with
+    whitespace inside could never match a token."""
     try:
         with open(path, encoding="utf-8") as f:
-            return Vocabulary(tuple(ln.rstrip("\n") for ln in f))
-    except ValueError as exc:   # a repeated symbol, or not UTF-8
+            symbols = tuple(ln.rstrip("\n") for ln in f)
+        for i, s in enumerate(symbols):
+            if s.split() != [s]:
+                raise ValueError(f"line {i + 1}: symbol {s!r} is empty or holds whitespace")
+        return Vocabulary(symbols)
+    except ValueError as exc:   # a symbol no tokenizer yields, a repeated one, or not UTF-8
         raise ValueError(f"vocabulary file {path}: {exc}") from None
 
 

@@ -9,11 +9,13 @@ from .potential import (PotentialConfig, NeuralPotential,
                         init_potential_params, potential_phi_batch,
                         potential_backward_batch)
 from .lstmlm import (LstmLmConfig, init_lstm_lm_params,
-                     lstm_lm_logprob_batch, lstm_lm_loss_grads, lstm_lm_train_step)
+                     lstm_lm_logprob_batch, lstm_lm_loss_grads, lstm_lm_train_step,
+                     lstm_lm_train_epoch)
 
 __all__ = [
     "Params", "PotentialConfig", "NeuralPotential",
     "init_potential_params", "potential_phi_batch", "potential_backward_batch",
     "LstmLmConfig", "init_lstm_lm_params",
     "lstm_lm_logprob_batch", "lstm_lm_loss_grads", "lstm_lm_train_step",
+    "lstm_lm_train_epoch",
 ]

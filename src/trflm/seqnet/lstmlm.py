@@ -12,6 +12,12 @@ network once per run of consecutive rows with the same inputs. At max_len the
 inputs stop before the last payload symbol, so a lexicographic enumeration
 over P payload symbols needs one pass per P rows.
 
+Training takes a batch as its per-length (N, l) id arrays and runs one
+forward and one backward pass per step count, so rows of max_len and of
+max_len-1, which both run max_len-2 steps, share a pass. An epoch buckets
+nothing: it picks each step's rows from a corpus bucketed once, and SGD
+updates the flat weight vector in place.
+
 A row's score, here and in the potential, can differ in its last bits
 between batchings: numpy sends a one-row matmul through BLAS gemv and a
 many-row one through gemm, which sum in different orders, and the
@@ -24,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..corpus import length_buckets
 from . import layers
 
 
@@ -112,30 +117,41 @@ def lstm_lm_logprob_batch(params: layers.Params, ids) -> np.ndarray:
 
 
 def lstm_lm_loss_grads(params: layers.Params, batch) -> tuple[float, np.ndarray]:
-    """Mean per-sequence negative log-probability and its flat parameter gradient."""
+    """Mean per-sequence negative log-probability of a batch, given as its
+    per-length (N, l) id arrays, and its flat parameter gradient.
+
+    Arrays with the same _steps count share one forward and one backward
+    pass: rows of max_len and of max_len-1 both run max_len-2 steps over
+    their first max_len-2 columns."""
     cfg = params.config
     t = params.tensors
+    groups: dict[int, list[np.ndarray]] = {}
+    n_total = 0
+    for ids in batch:
+        _check_batch(cfg, ids)
+        n_total += len(ids)
+        steps = _steps(cfg, ids.shape[1])
+        if steps:   # [begin, end] at max_len 2 is certain: no loss, no gradient
+            groups.setdefault(steps, []).append(ids[:, :steps + 1])
     flat = np.zeros_like(params.flat)
     grads = params.views(flat)
     total_nll = 0.0
-    n_total = len(batch)
-    for _, ids in length_buckets(batch):
-        _check_batch(cfg, ids)
-        n, length = ids.shape
-        steps = _steps(cfg, length)
-        if not steps:
-            continue   # [begin, end] at max_len 2 is certain: no loss, no gradient
-        inputs, targets = ids[:, :steps], ids[:, 1:steps + 1]
+    for steps, parts in groups.items():
+        ids = np.concatenate(parts) if len(parts) > 1 else parts[0]
+        inputs, targets = ids[:, :-1], ids[:, 1:]
         caches, h, logits, lse = _forward(params, inputs)
-        rows = np.arange(n)[:, None]
+        rows = np.arange(len(ids))[:, None]
         cols = np.arange(steps)[None, :]
         lp = logits[rows, cols, targets] - lse
         total_nll += float(-lp.sum(axis=1).sum())
 
-        probs = np.exp(logits - lse[:, :, None])
-        dlogits = probs / n_total
+        dlogits = logits                                  # softmax / n_total, in place
+        dlogits -= lse[:, :, None]
+        np.exp(dlogits, out=dlogits)
+        dlogits /= n_total
         dlogits[rows, cols, targets] -= 1.0 / n_total
-        grads["out_w"] += np.einsum("ntd,ntv->dv", h, dlogits)
+        d, v = t["out_w"].shape
+        grads["out_w"] += h.reshape(-1, d).T @ dlogits.reshape(-1, v)
         grads["out_b"] += dlogits.sum(axis=(0, 1))
         dh = dlogits @ t["out_w"].T
         for i in reversed(range(1, cfg.num_layers + 1)):
@@ -146,8 +162,35 @@ def lstm_lm_loss_grads(params: layers.Params, batch) -> tuple[float, np.ndarray]
     return total_nll / n_total, flat
 
 
-def lstm_lm_train_step(params: layers.Params, batch, lr: float) -> tuple[layers.Params, float]:
-    """One SGD step on the mean NLL of the batch; returns new params and the
-    NLL measured before the update."""
+def lstm_lm_train_step(params: layers.Params, batch, lr: float) -> float:
+    """One SGD step on the mean NLL of a batch of per-length (N, l) id arrays,
+    made in place on params.flat; returns the NLL measured before the update."""
     nll, grads = lstm_lm_loss_grads(params, batch)
-    return layers.Params(params.config, params.flat - lr * grads), nll
+    grads *= lr
+    params.flat -= grads
+    return nll
+
+
+def lstm_lm_train_epoch(params: layers.Params, buckets, rng: np.random.Generator,
+                        batch_size: int, lr: float) -> list[float]:
+    """One SGD epoch over a corpus given as the (row indices, (N, l) ids) pairs
+    of corpus.length_buckets: rng permutes the corpus rows, and each run of
+    batch_size rows in that order is one step on its rows of every length.
+    Returns each step's NLL."""
+    n = sum(len(ids) for _, ids in buckets)
+    bucket_of, pos = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    for k, (idx, ids) in enumerate(buckets):
+        bucket_of[idx] = k
+        pos[idx] = np.arange(len(ids))
+    order = rng.permutation(n)
+    losses = []
+    for i in range(0, n, batch_size):
+        rows = order[i:i + batch_size]
+        of = bucket_of[rows]
+        batch = []
+        for k, (_, ids) in enumerate(buckets):
+            mine = rows[of == k]
+            if len(mine):
+                batch.append(ids[pos[mine]])
+        losses.append(lstm_lm_train_step(params, batch, lr))
+    return losses

@@ -57,7 +57,7 @@ from trflm.nce import NceConfig, train
 from trflm.noise import NoiseDistribution, draw_noise_batch, noise_logprob
 from trflm.seqnet import (LstmLmConfig, NeuralPotential, PotentialConfig,
                           init_lstm_lm_params, init_potential_params,
-                          lstm_lm_train_step)
+                          lstm_lm_train_epoch)
 from trflm.trf import (LstmReference, TrfModel, UniformReference, exact_zeta,
                        total_mass, zeta_init_vector)
 from trflm.util import derive_rng, retain_freed_memory
@@ -311,10 +311,9 @@ def test_criterion_7_rescoring_combination(pilot_setting):
                                           num_layers=1, max_len=5),
                              derive_rng(0, "lstm-init"))
     rng = derive_rng(0, "lstm-shuffle")
-    for _ in range(30):
-        order = rng.permutation(len(data))
-        for i in range(0, len(data), 10):
-            lm, _ = lstm_lm_train_step(lm, [data[j] for j in order[i:i + 10]], 0.5)
+    buckets = list(corpus_mod.length_buckets(data))
+    for _ in range(30):   # train-lstm's loop at refs.ini's settings
+        lstm_lm_train_epoch(lm, buckets, rng, 10, 0.5)
 
     nd = NoiseDistribution(prior, ngram_mod.train_ngram(data, 2, vocab))
     params = init_potential_params(PotentialConfig(vocab.size, 16, 0, 0, 0, 16),

@@ -724,6 +724,33 @@ def test_rescore_vocabulary_error_names_the_file(trained_micro, tmp_path, monkey
                                        "duplicate symbols in vocabulary\n")
 
 
+@pytest.mark.parametrize("symbol", ["", "a b"], ids=["empty", "space"])
+@pytest.mark.parametrize("reader", ["rescore", "bundle"])
+def test_vocabulary_symbol_no_tokenizer_yields_is_one_error_line(
+        trained_micro, tmp_path, monkeypatch, capsys, reader, symbol):
+    # rescore reads the vocabulary file itself; a trf member reads its bundle's
+    monkeypatch.chdir(tmp_path)
+    symbols = (trained_micro / "vocab.txt").read_text().splitlines()
+    (tmp_path / "bad.txt").write_text("\n".join(symbols[:4] + [symbol] + symbols[5:]) + "\n")
+    if reader == "rescore":
+        argv = write_rescore_inputs("bad.txt", f"ngram:{trained_micro / 'ngram.json'}")
+    else:
+        with open(trained_micro / "trf.json") as f:
+            doc = json.load(f)
+        doc["vocab_file"] = str(tmp_path / "bad.txt")
+        doc["potential_file"] = str(trained_micro / "potential.json")
+        with open("bundle.json", "w") as f:
+            json.dump(doc, f)
+        argv = write_rescore_inputs(trained_micro / "vocab.txt", "trf:bundle.json")
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert (f"vocabulary file {tmp_path / 'bad.txt'}: line 5: symbol {symbol!r} "
+            "is empty or holds whitespace") in captured.err
+    assert captured.out == ""
+
+
 def faulty_model_file(kind, fault, doc):
     """A potential or LSTM LM parameter document with one fault, or the whole
     document of a faulty n-gram file."""

@@ -129,6 +129,17 @@ def test_vocabulary_roundtrip_file(tmp_path):
     assert v2.id_of("the") == v.id_of("the")
 
 
+@pytest.mark.parametrize("line, symbol", [("", ""), ("a b", "a b"), ("\tc", "\tc")],
+                         ids=["empty", "space", "tab"])
+def test_vocabulary_file_rejects_symbols_no_tokenizer_yields(tmp_path, line, symbol):
+    path = tmp_path / "vocab.txt"
+    path.write_text(f"<s>\n</s>\n<unk>\nz\n{line}\ny\n")
+    with pytest.raises(ValueError) as err:
+        load_vocabulary(path)
+    assert str(err.value) == (f"vocabulary file {path}: line 5: symbol {symbol!r} "
+                              "is empty or holds whitespace")
+
+
 def test_vocabulary_invariants():
     v = build_vocabulary(["x y z"])
     for i in range(v.size):

@@ -3,12 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from trflm.corpus import Sequence
+from trflm.corpus import Sequence, length_buckets
 from trflm.gradcheck import numeric_grad_tensors, relative_errors
 from trflm.seqnet import (LstmLmConfig, PotentialConfig, init_lstm_lm_params,
                           init_potential_params, layers, lstm_lm_logprob_batch,
-                          lstm_lm_loss_grads, lstm_lm_train_step, lstmlm,
-                          potential_backward_batch, potential_phi_batch)
+                          lstm_lm_loss_grads, lstm_lm_train_epoch, lstm_lm_train_step,
+                          lstmlm, potential_backward_batch, potential_phi_batch)
 from trflm.seqnet.layers import conv1d_backward, conv1d_forward, lstm_backward, lstm_forward
 
 
@@ -285,6 +285,11 @@ def test_lstm_lm_rejects_bad_sequences():
         lstm_lm_logprob_batch(params, np.array([(0, 3, 1, 1)]))       # end inside payload
 
 
+def by_length(*rows):
+    """A batch as its per-length (N, l) id arrays, ascending in l, rows in order."""
+    return [np.array([r for r in rows if len(r) == l]) for l in sorted(set(map(len, rows)))]
+
+
 def assert_lm_gradient_matches_finite_differences(max_len, batch):
     params = init_lstm_lm_params(lm_cfg(max_len=max_len, num_layers=2), seed=4)
     _, grads = lstm_lm_loss_grads(params, batch)
@@ -296,19 +301,20 @@ def assert_lm_gradient_matches_finite_differences(max_len, batch):
 
 def test_lstm_lm_gradient_matches_finite_differences():
     assert_lm_gradient_matches_finite_differences(
-        6, [Sequence((0, 3, 4, 1)), Sequence((0, 2, 1)), Sequence((0, 4, 4, 3, 1))])
+        6, by_length((0, 3, 4, 1), (0, 2, 1), (0, 4, 4, 3, 1)))
 
 
 def test_lstm_lm_gradient_at_max_len():
-    # rows at max_len skip the forced end symbol's step; the others keep it
+    # rows at max_len skip the forced end symbol's step; the others keep it,
+    # so lengths 4 and 3 share one pass
     assert_lm_gradient_matches_finite_differences(
-        4, [seq(0, 3, 4, 1), seq(0, 2, 2, 1), seq(0, 4, 1), seq(0, 1)])
+        4, by_length((0, 3, 4, 1), (0, 2, 2, 1), (0, 4, 1), (0, 1)))
 
 
 def test_lstm_lm_max_len_two_is_certain():
     params = init_lstm_lm_params(lm_cfg(max_len=2), seed=4)
     assert lstm_lm_logprob_batch(params, np.array([(0, 1), (0, 1)])).tolist() == [0.0, 0.0]
-    nll, grads = lstm_lm_loss_grads(params, [seq(0, 1)])
+    nll, grads = lstm_lm_loss_grads(params, [np.array([(0, 1)])])
     assert nll == 0.0 and not grads.any()
 
 
@@ -371,21 +377,97 @@ def test_lstm_lm_runs_one_pass_per_shared_prefix(monkeypatch):
     assert shapes == [(4 ** 2, 3)]
 
 
+def per_length_loss_grads(params, batch):
+    """lstm_lm_loss_grads with one pass per length, as it was before rows of
+    max_len and max_len-1 shared a pass."""
+    cfg, t = params.config, params.tensors
+    flat = np.zeros_like(params.flat)
+    grads = params.views(flat)
+    n_total = sum(len(ids) for ids in batch)
+    total_nll = 0.0
+    for ids in batch:
+        steps = lstmlm._steps(cfg, ids.shape[1])
+        if not steps:
+            continue
+        inputs, targets = ids[:, :steps], ids[:, 1:steps + 1]
+        caches, h, logits, lse = lstmlm._forward(params, inputs)
+        rows, cols = np.arange(len(ids))[:, None], np.arange(steps)[None, :]
+        total_nll += float(-(logits[rows, cols, targets] - lse).sum(axis=1).sum())
+        dlogits = np.exp(logits - lse[:, :, None]) / n_total
+        dlogits[rows, cols, targets] -= 1.0 / n_total
+        grads["out_w"] += np.einsum("ntd,ntv->dv", h, dlogits)
+        grads["out_b"] += dlogits.sum(axis=(0, 1))
+        dh = dlogits @ t["out_w"].T
+        for i in reversed(range(1, cfg.num_layers + 1)):
+            dh, dw, db = lstm_backward(dh, caches[i - 1])
+            grads[f"lstm{i}_w"] += dw
+            grads[f"lstm{i}_b"] += db
+        grads["emb"] += layers.embedding_backward(dh, inputs, t["emb"].shape)
+    return total_nll / n_total, flat
+
+
+def random_rows(rng, n, max_len, vocab_size=6):
+    """n [begin, payload, end] rows of random lengths 2..max_len."""
+    return [(0, *rng.integers(2, vocab_size, size=rng.integers(0, max_len - 1)).tolist(), 1)
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("num_layers", [1, 2])
+def test_lstm_lm_joined_pass_matches_one_pass_per_length(num_layers):
+    params = init_lstm_lm_params(lm_cfg(vocab_size=6, num_layers=num_layers, max_len=5), seed=3)
+    batch = by_length(*random_rows(np.random.default_rng(1), 40, 5))
+    assert [ids.shape[1] for ids in batch] == [2, 3, 4, 5]
+    nll, grads = lstm_lm_loss_grads(params, batch)
+    ref_nll, ref_grads = per_length_loss_grads(params, batch)
+    assert abs(nll - ref_nll) < 1e-12 and np.abs(grads - ref_grads).max() < 1e-12
+
+
+def test_lstm_lm_training_joins_max_len_and_one_shorter(monkeypatch):
+    # lengths 5 and 4 at max_len 5 both run 3 steps over their first 3 columns
+    params = init_lstm_lm_params(lm_cfg(vocab_size=6, max_len=5), seed=9)
+    shapes = []
+
+    def counting(x, w, b):
+        shapes.append(x.shape[:2])
+        return lstm_forward(x, w, b)
+
+    monkeypatch.setattr(layers, "lstm_forward", counting)
+    lstm_lm_loss_grads(params, by_length((0, 2, 3, 4, 1), (0, 3, 3, 1), (0, 5, 2, 2, 1)))
+    assert shapes == [(3, 3)]
+
+
+def test_lstm_lm_epoch_is_one_step_per_shuffled_batch():
+    # an epoch picks each step's rows from the corpus buckets; the steps match
+    # steps on each shuffled batch bucketed on its own, bit for bit
+    cfg = lm_cfg(vocab_size=6, max_len=5)
+    corpus = [Sequence(r) for r in random_rows(np.random.default_rng(2), 23, 5)]
+    params, ref = init_lstm_lm_params(cfg, seed=5), init_lstm_lm_params(cfg, seed=5)
+    flat = params.flat
+    losses = lstm_lm_train_epoch(params, list(length_buckets(corpus)),
+                                 np.random.default_rng(4), 5, 0.5)
+    order = np.random.default_rng(4).permutation(len(corpus))
+    ref_losses = [lstm_lm_train_step(ref, [ids for _, ids in length_buckets(
+                      [corpus[j] for j in order[i:i + 5]])], 0.5)
+                  for i in range(0, len(corpus), 5)]
+    assert losses == ref_losses and len(losses) == 5
+    assert np.array_equal(params.flat, ref.flat) and params.flat is flat
+
+
 def test_lstm_lm_training_reduces_nll():
     cfg = lm_cfg(max_len=6)
     params = init_lstm_lm_params(cfg, seed=5)
     rng = np.random.default_rng(8)
-    corpus = [Sequence((0, *rng.integers(2, 5, size=rng.integers(1, 4)).tolist(), 1))
-              for _ in range(10)]
+    corpus = by_length(*[(0, *rng.integers(2, 5, size=rng.integers(1, 4)).tolist(), 1)
+                         for _ in range(10)])
     first, _ = lstm_lm_loss_grads(params, corpus)
     for _ in range(100):
-        params, nll = lstm_lm_train_step(params, corpus, lr=0.5)
+        lstm_lm_train_step(params, corpus, lr=0.5)
     final, _ = lstm_lm_loss_grads(params, corpus)
     assert final < first
 
 
 def test_lstm_lm_zero_learning_rate_keeps_params():
     params = init_lstm_lm_params(lm_cfg(max_len=5), seed=6)
-    before = {k: v.copy() for k, v in params.tensors.items()}
-    new, _ = lstm_lm_train_step(params, [Sequence((0, 3, 1))], lr=0.0)
-    assert all(np.array_equal(before[k], new.tensors[k]) for k in before)
+    before = params.flat.copy()
+    lstm_lm_train_step(params, [np.array([(0, 3, 1)])], lr=0.0)
+    assert np.array_equal(before, params.flat)

@@ -193,10 +193,11 @@ def train(model: TrfModel, nd: NoiseDistribution, dataset, config: NceConfig,
             with np.errstate(over="ignore", invalid="ignore"):
                 g_theta, g_zeta, stats = nce_gradients(model, nd, data_batch, noise_batch,
                                                        data_log_pn[rows])
-            for name, g in [*model.potential.params.views(g_theta).items(), ("zeta", g_zeta)]:
-                if not np.all(np.isfinite(g)):
-                    raise Diverged(f"training diverged: non-finite gradient in {name!r} "
-                                   f"at step {len(result.steps)}")
+            if not (np.isfinite(g_theta).all() and np.isfinite(g_zeta).all()):
+                name = next(name for name, g in [*model.potential.params.views(g_theta).items(),
+                                                 ("zeta", g_zeta)] if not np.isfinite(g).all())
+                raise Diverged(f"training diverged: non-finite gradient in {name!r} "
+                               f"at step {len(result.steps)}")
             g_zeta[frozen] = 0.0
             # maximize J: descend on -J
             opt_theta.step(model.potential.params.flat, -g_theta, config.lr_theta)

@@ -3,6 +3,12 @@
 Each forward takes batched (N, L, C) float64 input and returns (out, cache);
 the matching backward consumes the cache and returns input/parameter grads.
 Batches hold same-length sequences, so no masking is needed anywhere.
+
+A width-k convolution is one matrix product: conv1d_columns lays each output
+position's k input windows side by side in an (N·L, k·C) column matrix, and
+the filter is read as (k·C, C_out). The backward pass builds one column
+matrix too, of the output gradient, and reads both gradients from it with
+one product each. So the cache keeps the input, not its column matrix.
 """
 from __future__ import annotations
 
@@ -18,18 +24,20 @@ class Params:
 
     config: object
     flat: np.ndarray = field(repr=False)
+    layout: tuple = field(init=False, repr=False)     # (name, start, stop, shape) per tensor
     tensors: dict[str, np.ndarray] = field(init=False, repr=False)   # views(flat)
 
     def __post_init__(self):
+        layout, start = [], 0
+        for name, shape in self.config.param_shapes():
+            layout.append((name, start, start + math.prod(shape), shape))
+            start = layout[-1][2]
+        self.layout = tuple(layout)
         self.tensors = self.views(self.flat)
 
     def views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
         """vec, laid out as flat (a gradient, say), as one named view per tensor."""
-        out, start = {}, 0
-        for name, shape in self.config.param_shapes():
-            out[name] = vec[start:start + math.prod(shape)].reshape(shape)
-            start += out[name].size
-        return out
+        return {name: vec[start:stop].reshape(shape) for name, start, stop, shape in self.layout}
 
 
 def init_params(config, seed=0, scale: float = 0.1) -> Params:
@@ -39,34 +47,44 @@ def init_params(config, seed=0, scale: float = 0.1) -> Params:
     return Params(config, rng.uniform(-scale, scale, size=size))
 
 
-def conv1d_forward(x, w, b):
-    """1-D convolution over time with zero padding chosen so the output length
-    equals the input length for every filter width (pad (k-1)//2 left, k//2
-    right). The input is copied into a zeroed (N, L+k-1, C) buffer by slice
-    assignment, which takes about half np.pad's time on a 512-row chunk."""
-    k = w.shape[0]
+def conv1d_columns(x, k, left=None):
+    """The (N·L, k·C) column matrix of a width-k convolution over x (N, L, C):
+    row n·L + t holds x[n, t + j - left] for taps j = 0..k-1 side by side,
+    zero where that position falls outside the sequence. The default left
+    padding (k-1)//2, with k//2 on the right, keeps the output length equal
+    to the input length for every width. Row t of a sequence is k·C
+    consecutive entries of its padded copy from entry t·C on, so one strided
+    view, copied once, gives every window."""
     n, length, c = x.shape
-    lpad = (k - 1) // 2
+    left = (k - 1) // 2 if left is None else left
     xp = np.zeros((n, length + k - 1, c))
-    xp[:, lpad:lpad + length] = x
-    y = np.broadcast_to(b, (n, length, b.shape[0])).copy()
-    for j in range(k):
-        y += xp[:, j:j + length, :] @ w[j]
-    cache = (xp, w, lpad, length)
-    return y, cache
+    xp[:, left:left + length] = x
+    s0, s1, s2 = xp.strides
+    windows = np.ndarray((n, length, k, c), xp.dtype, xp, 0, (s0, s1, s1, s2))
+    return windows.reshape(n * length, k * c)
+
+
+def conv1d_forward(x, w, b):
+    """Width-k convolution over time, w (k, C, C_out), as one product of the
+    (N·L, k·C) column matrix with w read as (k·C, C_out)."""
+    k, c, cout = w.shape
+    n, length, _ = x.shape
+    y = conv1d_columns(x, k) @ w.reshape(k * c, cout)
+    y += b
+    return y.reshape(n, length, cout), (x, w)
 
 
 def conv1d_backward(dy, cache):
-    xp, w, lpad, length = cache
-    k = w.shape[0]
-    dxp = np.zeros_like(xp)
-    dw = np.zeros_like(w)
-    for j in range(k):
-        dxp[:, j:j + length, :] += dy @ w[j].T
-        dw[j] = np.tensordot(xp[:, j:j + length, :], dy, axes=([0, 1], [0, 1]))
-    db = dy.sum(axis=(0, 1))
-    dx = dxp[:, lpad:lpad + length, :]
-    return dx, dw, db
+    """Input position u meets dy[u - j + (k-1)//2] through tap j. In dy's
+    column matrix, padded k//2 on the left, that is block k-1-j of row u. So
+    dx is one product of it with the taps reversed and transposed, and dW one
+    product of x^T with it, its blocks in reverse tap order."""
+    x, w = cache
+    k, c, cout = w.shape
+    dycols = conv1d_columns(dy, k, k // 2)
+    dx = dycols @ w[::-1].transpose(0, 2, 1).reshape(k * cout, c)
+    dw = (x.reshape(-1, c).T @ dycols).reshape(c, k, cout)[:, ::-1].transpose(1, 0, 2)
+    return dx.reshape(x.shape), dw, dy.sum(axis=(0, 1))
 
 
 def relu_forward(x):

@@ -15,8 +15,8 @@ over P payload symbols needs one pass per P rows.
 Training takes a batch as its per-length (N, l) id arrays and runs one
 forward and one backward pass per step count, so rows of max_len and of
 max_len-1, which both run max_len-2 steps, share a pass. An epoch buckets
-nothing: it picks each step's rows from a corpus bucketed once, and SGD
-updates the flat weight vector in place.
+nothing: it checks the corpus buckets once, picks each step's rows from
+them, and SGD updates the flat weight vector in place.
 
 A row's score, here and in the potential, can differ in its last bits
 between batchings: numpy sends a one-row matmul through BLAS gemv and a
@@ -67,6 +67,8 @@ def _check_batch(cfg: LstmLmConfig, ids: np.ndarray) -> None:
     n, length = ids.shape
     if length < 2 or length > cfg.max_len:
         raise ValueError(f"sequence length {length} outside 2..{cfg.max_len}")
+    if n and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
+        raise ValueError("symbol id out of vocabulary range")
     if (ids[:, 0] != cfg.bos).any() or (ids[:, -1] != cfg.eos).any():
         raise ValueError("sequences must be [begin, payload..., end]")
     payload = ids[:, 1:-1]
@@ -116,9 +118,11 @@ def lstm_lm_logprob_batch(params: layers.Params, ids) -> np.ndarray:
     return (logits[run, cols, ids[:, 1:steps + 1]] - lse[run, cols]).sum(axis=1)
 
 
-def lstm_lm_loss_grads(params: layers.Params, batch) -> tuple[float, np.ndarray]:
+def lstm_lm_loss_grads(params: layers.Params, batch,
+                       checked: bool = False) -> tuple[float, np.ndarray]:
     """Mean per-sequence negative log-probability of a batch, given as its
-    per-length (N, l) id arrays, and its flat parameter gradient.
+    per-length (N, l) id arrays, and its flat parameter gradient. checked
+    says the caller has already run the batch checks on these arrays.
 
     Arrays with the same _steps count share one forward and one backward
     pass: rows of max_len and of max_len-1 both run max_len-2 steps over
@@ -128,7 +132,8 @@ def lstm_lm_loss_grads(params: layers.Params, batch) -> tuple[float, np.ndarray]
     groups: dict[int, list[np.ndarray]] = {}
     n_total = 0
     for ids in batch:
-        _check_batch(cfg, ids)
+        if not checked:
+            _check_batch(cfg, ids)
         n_total += len(ids)
         steps = _steps(cfg, ids.shape[1])
         if steps:   # [begin, end] at max_len 2 is certain: no loss, no gradient
@@ -162,10 +167,11 @@ def lstm_lm_loss_grads(params: layers.Params, batch) -> tuple[float, np.ndarray]
     return total_nll / n_total, flat
 
 
-def lstm_lm_train_step(params: layers.Params, batch, lr: float) -> float:
+def lstm_lm_train_step(params: layers.Params, batch, lr: float, checked: bool = False) -> float:
     """One SGD step on the mean NLL of a batch of per-length (N, l) id arrays,
-    made in place on params.flat; returns the NLL measured before the update."""
-    nll, grads = lstm_lm_loss_grads(params, batch)
+    made in place on params.flat; returns the NLL measured before the update.
+    checked is as in lstm_lm_loss_grads."""
+    nll, grads = lstm_lm_loss_grads(params, batch, checked)
     grads *= lr
     params.flat -= grads
     return nll
@@ -176,7 +182,10 @@ def lstm_lm_train_epoch(params: layers.Params, buckets, rng: np.random.Generator
     """One SGD epoch over a corpus given as the (row indices, (N, l) ids) pairs
     of corpus.length_buckets: rng permutes the corpus rows, and each run of
     batch_size rows in that order is one step on its rows of every length.
-    Returns each step's NLL."""
+    Each bucket is checked once, before the first step. Returns each step's
+    NLL."""
+    for _, ids in buckets:
+        _check_batch(params.config, ids)
     n = sum(len(ids) for _, ids in buckets)
     bucket_of, pos = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     for k, (idx, ids) in enumerate(buckets):
@@ -192,5 +201,5 @@ def lstm_lm_train_epoch(params: layers.Params, buckets, rng: np.random.Generator
             mine = rows[of == k]
             if len(mine):
                 batch.append(ids[pos[mine]])
-        losses.append(lstm_lm_train_step(params, batch, lr))
+        losses.append(lstm_lm_train_step(params, batch, lr, checked=True))
     return losses

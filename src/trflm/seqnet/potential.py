@@ -12,6 +12,14 @@ residual add is well defined; when the bank is present (K > 0) at least one
 stacked convolution is required to project the splice down. The bank/stack may
 both be disabled, in which case embeddings feed the BLSTM directly.
 
+Every convolution is one matrix product over a column matrix (layers). The
+bank is one layer: width k's taps are k consecutive taps of width K's, so
+the bank builds width K's column matrix once and each width is one product
+on a column block of it, written into its own block of the splice. Its
+backward pass builds width K's column matrix of the splice's gradient once,
+and reads every width's weight gradient from one product with it and the
+input gradient from another.
+
 Without convolutions the forward LSTM state at a position depends only on
 the symbols up to it and the backward state only on those from it on, so
 potential_phi_space scores a whole fixed-length space with one prefix-tree
@@ -90,14 +98,8 @@ def potential_phi_batch(params: layers.Params, ids) -> tuple[np.ndarray, dict]:
     emb, _ = layers.embedding_forward(t["emb"], ids)
     x = emb
     if cfg.bank_width > 0:
-        feats, bank_caches = [], []
-        for k in range(1, cfg.bank_width + 1):
-            y, ck = layers.conv1d_forward(emb, t[f"bank{k}_w"], t[f"bank{k}_b"])
-            y, cr = layers.relu_forward(y)
-            feats.append(y)
-            bank_caches.append((ck, cr))
-        x = np.concatenate(feats, axis=2)
-        cache["bank"] = bank_caches
+        x, pre = layers.relu_forward(_bank_forward(t, emb, cfg.bank_width))
+        cache["bank"] = [(emb, pre)]        # the bank is one layer
     stack_caches = []
     for i in range(1, cfg.stack_layers + 1):
         x, ck = layers.conv1d_forward(x, t[f"stack{i}_w"], t[f"stack{i}_b"])
@@ -151,18 +153,53 @@ def potential_backward_batch(params: layers.Params, cache: dict, scales) -> np.n
         dx = layers.relu_backward(dx, cr)
         dx, g[f"stack{i}_w"][...], g[f"stack{i}_b"][...] = layers.conv1d_backward(dx, ck)
     if cfg.bank_width > 0:
-        f = cfg.bank_channels
-        parts = []
-        for k in range(1, cfg.bank_width + 1):
-            ck, cr = cache["bank"][k - 1]
-            dk = layers.relu_backward(dx[:, :, (k - 1) * f: k * f], cr)
-            dk, g[f"bank{k}_w"][...], g[f"bank{k}_b"][...] = layers.conv1d_backward(dk, ck)
-            parts.append(dk)
-        dx = sum(parts)
+        [(emb, pre)] = cache["bank"]
+        dx = _bank_backward(t, g, layers.relu_backward(dx, pre), emb, cfg.bank_width)
     if demb is not None:
         dx = dx + demb
     g["emb"][...] = layers.embedding_backward(dx, ids, t["emb"].shape)
     return flat
+
+
+def _bank_widths(t: dict, widths: int):
+    """(k, offset, out) of every bank width k: its taps are taps offset..
+    offset+k-1 of the widest width's window, and its channels are the out
+    block of the splice."""
+    f = t["bank1_b"].shape[0]
+    for k in range(1, widths + 1):
+        yield k, (widths - 1) // 2 - (k - 1) // 2, slice((k - 1) * f, k * f)
+
+
+def _bank_forward(t: dict, x: np.ndarray, widths: int) -> np.ndarray:
+    """The bank's spliced preactivations (N, L, widths·f): one product per
+    width, on its column block of the widest width's column matrix."""
+    n, length, e = x.shape
+    cols = layers.conv1d_columns(x, widths)
+    y = np.empty((n * length, widths * t["bank1_b"].shape[0]))
+    for k, offset, out in _bank_widths(t, widths):
+        np.matmul(cols[:, offset * e:(offset + k) * e], t[f"bank{k}_w"].reshape(k * e, -1),
+                  out=y[:, out])
+        y[:, out] += t[f"bank{k}_b"]
+    return y.reshape(n, length, -1)
+
+
+def _bank_backward(t: dict, g: dict, dy: np.ndarray, x: np.ndarray, widths: int):
+    """Writes the bank's weight gradients into g and returns its input
+    gradient, as layers.conv1d_backward does for one width-K convolution
+    whose taps are every width's, each at its offset and channels and zero
+    elsewhere. Reversed, width k's taps start at widths - k - offset."""
+    n, length, splice = dy.shape
+    e = x.shape[2]
+    dycols = layers.conv1d_columns(dy, widths, widths // 2)
+    dw = (x.reshape(-1, e).T @ dycols).reshape(e, widths, splice)
+    db = dy.sum(axis=(0, 1))
+    taps = np.zeros((widths, splice, e))
+    for k, offset, out in _bank_widths(t, widths):
+        rev = widths - k - offset
+        g[f"bank{k}_w"][...] = dw[:, rev:rev + k, out][:, ::-1].transpose(1, 0, 2)
+        g[f"bank{k}_b"][...] = db[out]
+        taps[rev:rev + k, out] = t[f"bank{k}_w"][::-1].transpose(0, 2, 1)
+    return (dycols @ taps.reshape(widths * splice, e)).reshape(n, length, e)
 
 
 def _children(h, c, inputs):

@@ -303,6 +303,30 @@ def test_train_lstm_writes_artifacts(micro):
     assert len(rows) == 4
 
 
+def test_train_lstm_out_of_range_ids_are_one_error_line(micro, capsys, monkeypatch):
+    # a training row holding an id past the vocabulary is refused before any step
+    from trflm.corpus import Sequence
+    from trflm.seqnet import lstmlm
+
+    encode = cli.corpus_mod.encode_corpus
+
+    def out_of_range(lines, vocab, level, max_len):
+        rows = encode(lines, vocab, level, max_len)
+        if len(rows) > 2:                     # the training corpus, not the valid set
+            rows[3] = Sequence((vocab.bos, vocab.size, vocab.eos))
+        return rows
+
+    steps = []
+    step = lstmlm.lstm_lm_train_step
+    monkeypatch.setattr(cli.corpus_mod, "encode_corpus", out_of_range)
+    monkeypatch.setattr(lstmlm, "lstm_lm_train_step",
+                        lambda *a, **k: steps.append(1) or step(*a, **k))
+    assert main(["train-lstm", "-c", "micro.ini"]) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: symbol id out of vocabulary range\n" and not out
+    assert not steps and not os.path.exists("micro/out")
+
+
 def test_train_trf_eval_enumerate_roundtrip(micro, capsys):
     assert main(["train-trf", "-c", "micro.ini"]) == 0
     for name in ("trf.json", "potential.json", "vocab.txt", "noise_ngram.json",

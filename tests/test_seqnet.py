@@ -3,12 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
+from trflm import gradcheck
 from trflm.corpus import Sequence, length_buckets
 from trflm.gradcheck import numeric_grad_tensors, relative_errors
 from trflm.seqnet import (LstmLmConfig, PotentialConfig, init_lstm_lm_params,
                           init_potential_params, layers, lstm_lm_logprob_batch,
                           lstm_lm_loss_grads, lstm_lm_train_epoch, lstm_lm_train_step,
-                          lstmlm, potential_backward_batch, potential_phi_batch)
+                          lstmlm, potential, potential_backward_batch, potential_phi_batch)
 from trflm.seqnet.layers import conv1d_backward, conv1d_forward, lstm_backward, lstm_forward
 
 
@@ -29,12 +30,15 @@ def phi_of(params, x):
     return float(phi[0]), cache
 
 
-@pytest.mark.parametrize("config", [
+NETWORK_CONFIGS = pytest.mark.parametrize("config", [
     PotentialConfig(vocab_size=29, emb_dim=16, hidden_dim=16),
     PotentialConfig(vocab_size=29, emb_dim=16, bank_width=3, bank_channels=8,
                     stack_layers=2, hidden_dim=16),
     LstmLmConfig(vocab_size=29, emb_dim=12, hidden_dim=24, max_len=5),
 ], ids=["pilot-potential", "paper-potential", "refs-lstm-lm"])
+
+
+@NETWORK_CONFIGS
 def test_init_params_draws_each_tensor_in_turn(config):
     # one draw over the flat vector gives the weights of one draw per tensor
     params = layers.init_params(config, np.random.default_rng(7))
@@ -42,6 +46,30 @@ def test_init_params_draws_each_tensor_in_turn(config):
     for name, shape in config.param_shapes():
         assert np.array_equal(params.tensors[name], rng.uniform(-0.1, 0.1, size=shape)), name
     assert all(np.shares_memory(v, params.flat) for v in params.tensors.values())
+
+
+@NETWORK_CONFIGS
+def test_views_read_a_layout_computed_once(config, monkeypatch):
+    params = layers.init_params(config, 3)
+    calls = []
+    shapes = type(config).param_shapes
+
+    def counting(self):
+        calls.append(1)
+        return shapes(self)
+
+    monkeypatch.setattr(type(config), "param_shapes", counting)
+    grad = np.arange(params.flat.size, dtype=np.float64)
+    for _ in range(3):
+        views = params.views(grad)
+    assert not calls
+    assert list(views) == [name for name, _ in shapes(config)]
+    for name, shape in shapes(config):
+        assert views[name].shape == shape and np.shares_memory(views[name], grad), name
+        assert np.array_equal(views[name], params.views(grad)[name])
+    assert sum(v.size for v in views.values()) == grad.size
+    views["bias" if "bias" in views else "out_b"][...] = -1.0
+    assert (grad == -1.0).sum() == (1 if "bias" in views else config.vocab_size)
 
 
 def test_zero_attention_score_collapses_to_bias():
@@ -71,16 +99,98 @@ def test_conv_preserves_time_resolution(width, length):
     assert y.shape == (2, length, 5)
 
 
+def direct_conv1d(x, w, b):
+    """y[n, t] = b + sum_j x[n, t + j - (k-1)//2] @ w[j] over the taps that
+    fall inside the sequence, one output at a time."""
+    k = w.shape[0]
+    n, length, _ = x.shape
+    y = np.empty((n, length, w.shape[2]))
+    for i, t in itertools.product(range(n), range(length)):
+        y[i, t] = b
+        for j in range(k):
+            if 0 <= t + j - (k - 1) // 2 < length:
+                y[i, t] += x[i, t + j - (k - 1) // 2] @ w[j]
+    return y
+
+
+# widths 1..6 over lengths 1..6: windows wider than the sequence read mostly padding
+CONV_GRID = list(itertools.product(range(1, 7), range(1, 7)))
+
+
 def test_conv1d_matches_direct_convolution():
-    rng = np.random.default_rng(1)
-    x = rng.normal(size=(1, 6, 2))
-    w = rng.normal(size=(3, 2, 4))
-    b = rng.normal(size=4)
-    y, _ = conv1d_forward(x, w, b)
-    xp = np.pad(x, ((0, 0), (1, 1), (0, 0)))
-    for t in range(6):
-        direct = b + sum(xp[0, t + j] @ w[j] for j in range(3))
-        assert np.allclose(y[0, t], direct, atol=1e-14)
+    for width, length in CONV_GRID:
+        rng = np.random.default_rng([width, length])
+        x = rng.normal(size=(4, length, 3))
+        w = rng.normal(size=(width, 3, 5))
+        b = rng.normal(size=5)
+        y, _ = conv1d_forward(x, w, b)
+        assert np.abs(y - direct_conv1d(x, w, b)).max() < 1e-12, (width, length)
+
+
+def test_conv1d_backward_is_the_adjoint():
+    # <conv(x; w, 0), dy> = <x, dx> and <conv(x; w, b), dy> - <b, sum dy> = <w, dW>
+    for width, length in CONV_GRID:
+        rng = np.random.default_rng([width, length, 1])
+        x = rng.normal(size=(4, length, 3))
+        w = rng.normal(size=(width, 3, 5))
+        b = rng.normal(size=5)
+        dy = rng.normal(size=(4, length, 5))
+        y, cache = conv1d_forward(x, w, b)
+        dx, dw, db = conv1d_backward(dy, cache)
+        assert dx.shape == x.shape and dw.shape == w.shape and db.shape == b.shape
+        y0, _ = conv1d_forward(x, w, np.zeros(5))
+        assert abs((y0 * dy).sum() - (x * dx).sum()) < 1e-12, (width, length)
+        assert abs((y * dy).sum() - b @ dy.sum(axis=(0, 1)) - (w * dw).sum()) < 1e-12
+        assert np.abs(db - dy.sum(axis=(0, 1))).max() < 1e-12
+
+
+def reference_bank(params, x, dy):
+    """The bank as separate per-width convolutions spliced by concatenate:
+    its preactivations, and the weight and input gradients of an upstream
+    gradient dy on them."""
+    cfg, t = params.config, params.tensors
+    f = cfg.bank_channels
+    pre, grads, dx = [], {}, 0.0
+    for k in range(1, cfg.bank_width + 1):
+        y, cache = conv1d_forward(x, t[f"bank{k}_w"], t[f"bank{k}_b"])
+        pre.append(y)
+        dxk, grads[f"bank{k}_w"], grads[f"bank{k}_b"] = conv1d_backward(
+            dy[:, :, (k - 1) * f:k * f], cache)
+        dx = dx + dxk
+    return np.concatenate(pre, axis=2), grads, dx
+
+
+@pytest.mark.parametrize("bank_width", [1, 2, 3])
+@pytest.mark.parametrize("length", [1, 2, 5])
+def test_bank_matches_separate_convolutions(bank_width, length):
+    cfg = PotentialConfig(vocab_size=7, emb_dim=4, bank_width=bank_width, bank_channels=3,
+                          stack_layers=1, hidden_dim=3)
+    params = init_potential_params(cfg, 5)
+    rng = np.random.default_rng([bank_width, length])
+    x = rng.normal(size=(6, length, 4))
+    dy = rng.normal(size=(6, length, 3 * bank_width))
+    ref_pre, ref_grads, ref_dx = reference_bank(params, x, dy)
+    pre = potential._bank_forward(params.tensors, x, bank_width)
+    grads = params.views(np.full_like(params.flat, np.nan))
+    dx = potential._bank_backward(params.tensors, grads, dy, x, bank_width)
+    assert np.abs(pre - ref_pre).max() < 1e-12
+    assert np.abs(dx - ref_dx).max() < 1e-12
+    for name, want in ref_grads.items():
+        assert np.abs(grads[name] - want).max() < 1e-12, name
+
+
+def reference_preactivations(params, ids):
+    """Every ReLU preactivation of the convolutions, the bank's per width."""
+    cfg, t = params.config, params.tensors
+    x = t["emb"][ids]
+    bank, _, _ = reference_bank(params, x, np.zeros(x.shape[:2] + (cfg.bank_width
+                                                                  * cfg.bank_channels,)))
+    pre, x = [bank], np.maximum(bank, 0.0)
+    for i in range(1, cfg.stack_layers + 1):
+        y, _ = conv1d_forward(x, t[f"stack{i}_w"], t[f"stack{i}_b"])
+        pre.append(y)
+        x = np.maximum(y, 0.0)
+    return pre
 
 
 def test_every_intermediate_keeps_length():
@@ -90,7 +200,22 @@ def test_every_intermediate_keeps_length():
         phi, cache = potential_phi_batch(params, ids)
         for ck, pre in cache["bank"] + cache["stack"]:
             assert pre.shape[1] == l
+        # the audited bank preactivations hold every width's channels
+        bank = np.concatenate([pre for _, pre in cache["bank"]], axis=2)
+        assert np.abs(bank - reference_preactivations(params, ids)[0]).max() < 1e-12
         assert cache["h"].shape[1] == l
+
+
+def test_kink_audit_sees_every_bank_preactivation():
+    params = small_params(seed=2)
+    seqs = [seq(0, 3, 4, 1), seq(0, 2, 1), seq(0, 4, 4, 3, 2, 1)]
+    want = min(float(np.abs(p).min()) for s in seqs
+               for p in reference_preactivations(params, np.array([s.ids])))
+    assert gradcheck._min_conv_preactivation(params, seqs) == pytest.approx(want, abs=1e-12)
+    # a bank preactivation at the kink is the smallest one the audit sees
+    t = params.tensors
+    t["bank2_b"][1] -= reference_preactivations(params, np.array([seqs[1].ids]))[0][0, 1, 4]
+    assert gradcheck._min_conv_preactivation(params, seqs) < 1e-12
 
 
 def test_forward_bit_deterministic():
@@ -283,6 +408,11 @@ def test_lstm_lm_rejects_bad_sequences():
         lstm_lm_logprob_batch(params, np.array([(3, 4, 1)]))          # no begin
     with pytest.raises(ValueError, match="boundary symbol inside payload"):
         lstm_lm_logprob_batch(params, np.array([(0, 3, 1, 1)]))       # end inside payload
+    for bad in (5, -1):                                               # past either end
+        with pytest.raises(ValueError, match="vocabulary range"):
+            lstm_lm_logprob_batch(params, np.array([(0, bad, 1)]))
+        with pytest.raises(ValueError, match="vocabulary range"):
+            lstm_lm_train_step(params, [np.array([(0, 3, 1)]), np.array([(0, bad, 3, 1)])], 0.5)
 
 
 def by_length(*rows):
@@ -451,6 +581,31 @@ def test_lstm_lm_epoch_is_one_step_per_shuffled_batch():
                   for i in range(0, len(corpus), 5)]
     assert losses == ref_losses and len(losses) == 5
     assert np.array_equal(params.flat, ref.flat) and params.flat is flat
+
+
+def test_lstm_lm_epoch_checks_each_bucket_once(monkeypatch):
+    cfg = lm_cfg(vocab_size=6, max_len=5)
+    buckets = list(length_buckets([Sequence(r) for r in
+                                   random_rows(np.random.default_rng(2), 23, 5)]))
+    params = init_lstm_lm_params(cfg, seed=5)
+    checked = []
+    check = lstmlm._check_batch
+    monkeypatch.setattr(lstmlm, "_check_batch",
+                        lambda cfg, ids: checked.append(ids.shape) or check(cfg, ids))
+    assert len(lstm_lm_train_epoch(params, buckets, np.random.default_rng(4), 5, 0.5)) == 5
+    assert checked == [ids.shape for _, ids in buckets]
+
+
+def test_lstm_lm_epoch_rejects_bad_ids_before_any_step(monkeypatch):
+    params = init_lstm_lm_params(lm_cfg(vocab_size=6, max_len=5), seed=5)
+    before = params.flat.copy()
+    steps = []
+    monkeypatch.setattr(lstmlm, "lstm_lm_train_step", lambda *a, **k: steps.append(1))
+    buckets = [(np.arange(2), np.array([(0, 2, 1), (0, 3, 1)])),
+               (np.arange(2, 3), np.array([(0, 2, 6, 1)]))]
+    with pytest.raises(ValueError, match="vocabulary range"):
+        lstm_lm_train_epoch(params, buckets, np.random.default_rng(0), 2, 0.5)
+    assert not steps and np.array_equal(params.flat, before)
 
 
 def test_lstm_lm_training_reduces_nll():

@@ -174,15 +174,16 @@ def _outdir(cfg: ExperimentConfig) -> str:
     return d
 
 
-def _reference(cfg: ExperimentConfig, vocab):
-    """The [model] reference and the file it was loaded from (None for uniform)."""
+def _reference(cfg: ExperimentConfig, vocab, longest: int):
+    """The [model] reference of a model whose longest supported length is
+    longest, and the file it was loaded from (None for uniform)."""
     kind = cfg.get("model", "reference")
     if kind not in serialize.REFERENCE_KINDS:
         raise ConfigError(f"unknown reference kind {kind!r} in [model]")
     ref_file = None if kind == "uniform" else cfg.path("model", "reference_file")
     if kind != "uniform" and ref_file is None:
         raise ConfigError(f"reference {kind!r} needs key 'reference_file' in [model]")
-    return serialize.load_reference(kind, ref_file, vocab), ref_file
+    return serialize.load_reference(kind, ref_file, vocab, longest), ref_file
 
 
 def nce_config(cfg: ExperimentConfig) -> NceConfig:
@@ -311,6 +312,7 @@ def cmd_train_trf(args) -> int:
     nce_cfg = nce_config(cfg)
     vocab, train, valid, level, max_len = _load_corpus(cfg)
     prior = corpus_mod.empirical_length_prior(train, max_len)
+    reference, ref_file = _reference(cfg, vocab, max(prior.supported_lengths))
     noise_base = ngram_mod.train_ngram(train, cfg.get("noise", "order"), vocab)
     nd = NoiseDistribution(prior, noise_base)
 
@@ -322,7 +324,6 @@ def cmd_train_trf(args) -> int:
         hidden_dim=cfg.get("model", "hidden_dim"))
     seed = cfg.get("training", "seed")
     params = init_potential_params(pot_cfg, derive_rng(seed, "init"))
-    reference, ref_file = _reference(cfg, vocab)
     model = TrfModel(NeuralPotential(params),
                      zeta_init_vector(cfg.get("model", "zeta_init"), max_len, vocab.size),
                      prior, reference, vocab, level)

@@ -78,7 +78,7 @@ def _min_conv_preactivation(params, seqs) -> float:
     worst = np.inf
     for _, ids in length_buckets(seqs):
         _, cache = potential_phi_batch(params, ids)
-        for _, pre in cache.get("bank", []) + cache["stack"]:
+        for _, pre in cache["conv"]:
             worst = min(worst, float(np.abs(pre).min()))
     return worst
 

@@ -12,13 +12,12 @@ residual add is well defined; when the bank is present (K > 0) at least one
 stacked convolution is required to project the splice down. The bank/stack may
 both be disabled, in which case embeddings feed the BLSTM directly.
 
-Every convolution is one matrix product over a column matrix (layers). The
-bank is one layer: width k's taps are k consecutive taps of width K's, so
-the bank builds width K's column matrix once and each width is one product
-on a column block of it, written into its own block of the splice. Its
-backward pass builds width K's column matrix of the splice's gradient once,
-and reads every width's weight gradient from one product with it and the
-input gradient from another.
+Every convolution is one matrix product over a column matrix (layers), and
+the bank and the stack run as one loop of such layers. The bank is one
+width-K layer: width k's taps are k consecutive taps of a width-K window, so
+its filter holds each width's taps at their offset and its channels in their
+block of the splice, and is zero elsewhere. Each width's weight gradient is
+read from that layer's at the same place; the zero taps' is dropped.
 
 Without convolutions the forward LSTM state at a position depends only on
 the symbols up to it and the backward state only on those from it on, so
@@ -97,20 +96,13 @@ def potential_phi_batch(params: layers.Params, ids) -> tuple[np.ndarray, dict]:
 
     emb, _ = layers.embedding_forward(t["emb"], ids)
     x = emb
-    if cfg.bank_width > 0:
-        x, pre = layers.relu_forward(_bank_forward(t, emb, cfg.bank_width))
-        cache["bank"] = [(emb, pre)]        # the bank is one layer
-    stack_caches = []
-    for i in range(1, cfg.stack_layers + 1):
-        x, ck = layers.conv1d_forward(x, t[f"stack{i}_w"], t[f"stack{i}_b"])
-        x, cr = layers.relu_forward(x)
-        stack_caches.append((ck, cr))
-    cache["stack"] = stack_caches
-    if cfg.bank_width > 0 or cfg.stack_layers > 0:
+    cache["conv"] = convs = []     # (conv cache, preactivation) of every layer
+    for w, b in _conv_layers(cfg, t):
+        x, ck = layers.conv1d_forward(x, w, b)
+        x, pre = layers.relu_forward(x)
+        convs.append((ck, pre))
+    if convs:
         x = emb + x  # residual join at embedding width
-        cache["residual"] = True
-    else:
-        cache["residual"] = False
 
     h_fw, c_fw = layers.lstm_forward(x, t["lstm_fw_w"], t["lstm_fw_b"])
     h_bw_rev, c_bw = layers.lstm_forward(x[:, ::-1, :], t["lstm_bw_w"], t["lstm_bw_b"])
@@ -147,59 +139,50 @@ def potential_backward_batch(params: layers.Params, cache: dict, scales) -> np.n
         dh[:, ::-1, d:], cache["lstm_bw"])
     dx = dx_fw + dx_bw_rev[:, ::-1, :]
 
-    demb = dx if cache["residual"] else None
-    for i in reversed(range(1, cfg.stack_layers + 1)):
-        ck, cr = cache["stack"][i - 1]
-        dx = layers.relu_backward(dx, cr)
-        dx, g[f"stack{i}_w"][...], g[f"stack{i}_b"][...] = layers.conv1d_backward(dx, ck)
-    if cfg.bank_width > 0:
-        [(emb, pre)] = cache["bank"]
-        dx = _bank_backward(t, g, layers.relu_backward(dx, pre), emb, cfg.bank_width)
+    demb = dx if cache["conv"] else None
+    for i, (ck, pre) in reversed(list(enumerate(cache["conv"]))):
+        dx, dw, db = layers.conv1d_backward(layers.relu_backward(dx, pre), ck)
+        for name, grad in _conv_grads(cfg, i, dw, db):
+            g[name][...] = grad
     if demb is not None:
         dx = dx + demb
     g["emb"][...] = layers.embedding_backward(dx, ids, t["emb"].shape)
     return flat
 
 
-def _bank_widths(t: dict, widths: int):
+def _bank_widths(cfg: PotentialConfig):
     """(k, offset, out) of every bank width k: its taps are taps offset..
-    offset+k-1 of the widest width's window, and its channels are the out
+    offset+k-1 of the bank's width-K filter, and its channels are the out
     block of the splice."""
-    f = t["bank1_b"].shape[0]
+    widths, f = cfg.bank_width, cfg.bank_channels
     for k in range(1, widths + 1):
         yield k, (widths - 1) // 2 - (k - 1) // 2, slice((k - 1) * f, k * f)
 
 
-def _bank_forward(t: dict, x: np.ndarray, widths: int) -> np.ndarray:
-    """The bank's spliced preactivations (N, L, widths·f): one product per
-    width, on its column block of the widest width's column matrix."""
-    n, length, e = x.shape
-    cols = layers.conv1d_columns(x, widths)
-    y = np.empty((n * length, widths * t["bank1_b"].shape[0]))
-    for k, offset, out in _bank_widths(t, widths):
-        np.matmul(cols[:, offset * e:(offset + k) * e], t[f"bank{k}_w"].reshape(k * e, -1),
-                  out=y[:, out])
-        y[:, out] += t[f"bank{k}_b"]
-    return y.reshape(n, length, -1)
+def _conv_layers(cfg: PotentialConfig, t: dict):
+    """(w, b) of every convolution in order: the bank as one width-K layer
+    whose filter holds each width's taps at its offset and channels and is
+    zero elsewhere, then the stacked layers."""
+    if cfg.bank_width > 0:
+        w = np.zeros((cfg.bank_width, cfg.emb_dim, cfg.bank_width * cfg.bank_channels))
+        for k, offset, out in _bank_widths(cfg):
+            w[offset:offset + k, :, out] = t[f"bank{k}_w"]
+        yield w, np.concatenate([t[f"bank{k}_b"] for k in range(1, cfg.bank_width + 1)])
+    for i in range(1, cfg.stack_layers + 1):
+        yield t[f"stack{i}_w"], t[f"stack{i}_b"]
 
 
-def _bank_backward(t: dict, g: dict, dy: np.ndarray, x: np.ndarray, widths: int):
-    """Writes the bank's weight gradients into g and returns its input
-    gradient, as layers.conv1d_backward does for one width-K convolution
-    whose taps are every width's, each at its offset and channels and zero
-    elsewhere. Reversed, width k's taps start at widths - k - offset."""
-    n, length, splice = dy.shape
-    e = x.shape[2]
-    dycols = layers.conv1d_columns(dy, widths, widths // 2)
-    dw = (x.reshape(-1, e).T @ dycols).reshape(e, widths, splice)
-    db = dy.sum(axis=(0, 1))
-    taps = np.zeros((widths, splice, e))
-    for k, offset, out in _bank_widths(t, widths):
-        rev = widths - k - offset
-        g[f"bank{k}_w"][...] = dw[:, rev:rev + k, out][:, ::-1].transpose(1, 0, 2)
-        g[f"bank{k}_b"][...] = db[out]
-        taps[rev:rev + k, out] = t[f"bank{k}_w"][::-1].transpose(0, 2, 1)
-    return (dycols @ taps.reshape(widths * splice, e)).reshape(n, length, e)
+def _conv_grads(cfg: PotentialConfig, i: int, dw: np.ndarray, db: np.ndarray):
+    """(name, gradient) of every tensor of convolution i of _conv_layers,
+    from that layer's dW and db: the bank's zero taps get none."""
+    if i == 0 and cfg.bank_width > 0:
+        for k, offset, out in _bank_widths(cfg):
+            yield f"bank{k}_w", dw[offset:offset + k, :, out]
+            yield f"bank{k}_b", db[out]
+    else:
+        i += cfg.bank_width == 0     # stack layers count from 1
+        yield f"stack{i}_w", dw
+        yield f"stack{i}_b", db
 
 
 def _children(h, c, inputs):

@@ -92,24 +92,33 @@ def load_lstm_lm(path) -> Params:
 
 def load_model_file(kind: str, path, vocab: Vocabulary):
     """The parameters of a potential or LSTM LM, or the n-gram model, in path (kind
-    "potential", "lstm" or "ngram"), checked against the vocabulary they score."""
+    "potential", "lstm" or "ngram"), checked against the vocabulary they score:
+    its size, and the begin and end ids of an LM."""
     model = {"potential": load_potential, "ngram": load_ngram, "lstm": load_lstm_lm}[kind](path)
-    size = model.vocab_size if kind == "ngram" else model.config.vocab_size
-    if size != vocab.size:
-        raise ValueError(f"{path} was built for a {size}-symbol vocabulary, "
+    held = model if kind == "ngram" else model.config
+    if held.vocab_size != vocab.size:
+        raise ValueError(f"{path} was built for a {held.vocab_size}-symbol vocabulary, "
                          f"but the vocabulary has {vocab.size}")
+    if kind != "potential" and (held.bos, held.eos) != (vocab.bos, vocab.eos):
+        raise ValueError(f"{path} begins and ends sequences with ids {held.bos} and "
+                         f"{held.eos}, but the vocabulary with {vocab.bos} and {vocab.eos}")
     return model
 
 
 REFERENCE_KINDS = ("uniform", "ngram", "lstm")
 
 
-def load_reference(kind: str, path, vocab: Vocabulary):
+def load_reference(kind: str, path, vocab: Vocabulary, longest: int):
     """The reference distribution of a kind in REFERENCE_KINDS over vocab; an
-    "ngram" or "lstm" reference scores with the model file in path."""
+    "ngram" or "lstm" reference scores with the model file in path, and an LSTM
+    LM must score every length up to longest, the model's (a longer max_len
+    only changes q's normalization, which zeta absorbs)."""
     if kind == "uniform":
         return UniformReference(len(vocab.payload_ids))
     model = load_model_file(kind, path, vocab)
+    if kind == "lstm" and model.config.max_len < longest:
+        raise ValueError(f"{path} scores lengths up to {model.config.max_len}, "
+                         f"but the model supports length {longest}")
     return NgramReference(model) if kind == "ngram" else LstmReference(model)
 
 
@@ -149,10 +158,11 @@ def _bundle_from_doc(doc, base: str) -> TrfModel:
     kind = ref.get("kind")
     if kind not in REFERENCE_KINDS:
         raise ValueError(f"'reference' must name a known kind, not {kind!r}")
-    reference = load_reference(kind, None if kind == "uniform" else resolve(ref, "file"), vocab)
+    prior = LengthPrior(_finite_vector(doc.get("pi"), "'pi'"))
+    reference = load_reference(kind, None if kind == "uniform" else resolve(ref, "file"), vocab,
+                               max(prior.supported_lengths))
     return TrfModel(NeuralPotential(potential), _finite_vector(doc.get("zeta"), "'zeta'"),
-                    LengthPrior(_finite_vector(doc.get("pi"), "'pi'")), reference, vocab,
-                    doc.get("level", "word"))
+                    prior, reference, vocab, doc.get("level", "word"))
 
 
 def load_trf_bundle(path) -> TrfModel:

@@ -701,6 +701,72 @@ def test_malformed_bundle_is_clean_error(trained_micro, tmp_path, monkeypatch, c
     assert captured.out == ""
 
 
+def reference_config(trained_micro, kind, path):
+    """ref.ini: the micro configuration over trained_micro's corpus with the
+    reference of a kind read from path; returns the train-trf command line."""
+    text = MICRO_CONFIG.replace("valid = micro/valid.txt\n", "")
+    text = text.replace("micro/train.txt", str(trained_micro.parent / "train.txt"))
+    text = text.replace("reference = uniform", f"reference = {kind}\nreference_file = {path}")
+    with open("ref.ini", "w") as f:
+        f.write(text.replace("dir = micro/out", "dir = out"))
+    return ["train-trf", "-c", "ref.ini"]
+
+
+@pytest.mark.parametrize("command", ["enumerate-z", "eval", "train-trf"])
+def test_lstm_reference_must_score_the_longest_length(trained_micro, tmp_path, monkeypatch,
+                                                      capsys, command):
+    # the micro model supports lengths up to 5; an LSTM LM of max_len 4 cannot score them
+    monkeypatch.chdir(tmp_path)
+    with open(trained_micro / "lstm.json") as f:
+        doc = json.load(f)
+    with open(trained_micro / "trf.json") as f:
+        bundle = json.load(f)
+    bundle.update(vocab_file=str(trained_micro / "vocab.txt"),
+                  potential_file=str(trained_micro / "potential.json"),
+                  reference={"kind": "lstm", "file": "lstm.json"})
+    with open("bundle.json", "w") as f:
+        json.dump(bundle, f)
+    argv = {"enumerate-z": ["enumerate-z", "--model", "bundle.json"],
+            "eval": ["eval", "--model", "bundle.json",
+                     "--data", str(trained_micro.parent / "train.txt")],
+            "train-trf": reference_config(trained_micro, "lstm", "lstm.json")}[command]
+    for max_len, code in ((4, 2), (6, 0)):   # a longer max_len is valid: zeta absorbs it
+        doc["config"]["max_len"] = max_len
+        with open("lstm.json", "w") as f:
+            json.dump(doc, f)
+        capsys.readouterr()
+        assert main(argv) == code, max_len
+        if code:
+            out, err = capsys.readouterr()
+            assert err.startswith("error: ") and err.count("\n") == 1 and not out
+            assert f"{tmp_path / 'lstm.json'} scores lengths up to 4, but the model supports " \
+                "length 5" in err
+            assert not os.path.exists("out")
+
+
+@pytest.mark.parametrize("use", ["reference", "member"])
+@pytest.mark.parametrize("kind", ["ngram", "lstm"])
+def test_lm_with_swapped_begin_and_end_ids_is_refused_at_load(trained_micro, tmp_path,
+                                                              monkeypatch, capsys, kind, use):
+    monkeypatch.chdir(tmp_path)
+    with open(trained_micro / f"{kind}.json") as f:
+        doc = json.load(f)
+    ends = doc if kind == "ngram" else doc["config"]
+    ends["bos"], ends["eos"] = ends["eos"], ends["bos"]
+    with open("lm.json", "w") as f:
+        json.dump(doc, f)
+    if use == "member":
+        argv = write_rescore_inputs(trained_micro / "vocab.txt", f"{kind}:lm.json")
+    else:
+        argv = reference_config(trained_micro, kind, "lm.json")
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {tmp_path / 'lm.json'} begins and ends "
+                                       "sequences with ids 1 and 0, but the vocabulary "
+                                       "with 0 and 1\n")
+    assert not os.path.exists("out")
+
+
 @pytest.mark.parametrize("kind", ["ngram", "lstm", "potential"])
 def test_model_file_not_json_names_the_file(trained_micro, tmp_path, monkeypatch, capsys, kind):
     monkeypatch.chdir(tmp_path)

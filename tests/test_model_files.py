@@ -109,3 +109,20 @@ def test_loaded_tensors_are_views_of_one_vector(model_files, kind):
     params.flat[:] = np.arange(params.flat.size)   # the views tile flat in order
     assert np.array_equal(np.concatenate([v.ravel() for v in params.tensors.values()]),
                           params.flat)
+
+
+def test_lstm_reference_must_score_the_longest_supported_length(model_files):
+    # the bundle's LSTM reference has max_len 4: length 5 needs a longer one
+    # only where the length prior supports it
+    path, doc = model_files["bundle"]
+    longer = path.parent / "longer-bundle.json"
+    for pi, supported in (([0.0, 0.25, 0.5, 0.25, 0.0], True),
+                          ([0.0, 0.25, 0.5, 0.0, 0.25], False)):
+        longer.write_text(json.dumps(dict(doc, pi=pi, zeta=[0.0] * 5)))
+        if supported:
+            assert serialize.load_trf_bundle(longer).max_len == 5
+            continue
+        with pytest.raises(ValueError) as exc:
+            serialize.load_trf_bundle(longer)
+        assert str(exc.value) == (f"model bundle {longer}: {path.parent / 'lstm.json'} scores "
+                                  "lengths up to 4, but the model supports length 5")

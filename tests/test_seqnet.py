@@ -170,11 +170,14 @@ def test_bank_matches_separate_convolutions(bank_width, length):
     x = rng.normal(size=(6, length, 4))
     dy = rng.normal(size=(6, length, 3 * bank_width))
     ref_pre, ref_grads, ref_dx = reference_bank(params, x, dy)
-    pre = potential._bank_forward(params.tensors, x, bank_width)
-    grads = params.views(np.full_like(params.flat, np.nan))
-    dx = potential._bank_backward(params.tensors, grads, dy, x, bank_width)
+    # the bank is the first of the potential's convolution layers
+    w, b = next(potential._conv_layers(cfg, params.tensors))
+    pre, ck = conv1d_forward(x, w, b)
+    dx, dw, db = conv1d_backward(dy, ck)
+    grads = dict(potential._conv_grads(cfg, 0, dw, db))
     assert np.abs(pre - ref_pre).max() < 1e-12
     assert np.abs(dx - ref_dx).max() < 1e-12
+    assert grads.keys() == ref_grads.keys()
     for name, want in ref_grads.items():
         assert np.abs(grads[name] - want).max() < 1e-12, name
 
@@ -198,11 +201,11 @@ def test_every_intermediate_keeps_length():
     for l in range(1, 6):
         ids = np.array([[0] + [3] * (l - 1)])
         phi, cache = potential_phi_batch(params, ids)
-        for ck, pre in cache["bank"] + cache["stack"]:
+        assert len(cache["conv"]) == 1 + params.config.stack_layers
+        for (ck, pre), want in zip(cache["conv"], reference_preactivations(params, ids)):
             assert pre.shape[1] == l
-        # the audited bank preactivations hold every width's channels
-        bank = np.concatenate([pre for _, pre in cache["bank"]], axis=2)
-        assert np.abs(bank - reference_preactivations(params, ids)[0]).max() < 1e-12
+            # every layer's preactivations, the bank's with every width's channels
+            assert np.abs(pre - want).max() < 1e-12
         assert cache["h"].shape[1] == l
 
 
@@ -212,10 +215,15 @@ def test_kink_audit_sees_every_bank_preactivation():
     want = min(float(np.abs(p).min()) for s in seqs
                for p in reference_preactivations(params, np.array([s.ids])))
     assert gradcheck._min_conv_preactivation(params, seqs) == pytest.approx(want, abs=1e-12)
-    # a bank preactivation at the kink is the smallest one the audit sees
+    # a preactivation of any bank width at the kink is the smallest one the audit sees
     t = params.tensors
-    t["bank2_b"][1] -= reference_preactivations(params, np.array([seqs[1].ids]))[0][0, 1, 4]
-    assert gradcheck._min_conv_preactivation(params, seqs) < 1e-12
+    for k in (1, 2):
+        keep = t[f"bank{k}_b"].copy()
+        channel = (k - 1) * params.config.bank_channels + 1
+        t[f"bank{k}_b"][1] -= reference_preactivations(
+            params, np.array([seqs[1].ids]))[0][0, 1, channel]
+        assert gradcheck._min_conv_preactivation(params, seqs) < 1e-12, k
+        t[f"bank{k}_b"][...] = keep
 
 
 def test_forward_bit_deterministic():
@@ -252,6 +260,25 @@ def test_dimension_errors():
 def test_potential_gradient_matches_finite_differences(seed, seed_reports):
     report = seed_reports(seed)[0]
     assert report.passed, f"{report.worst_tensor}: {report.max_rel_error}"
+
+
+@pytest.mark.parametrize("bank_width,stack_layers", [(0, 1), (0, 2), (1, 1)])
+def test_convolution_shapes_gradient_matches_finite_differences(bank_width, stack_layers):
+    # shapes gradcheck's random instances never draw: a stack with no bank, a width-1 bank
+    cfg = PotentialConfig(vocab_size=6, emb_dim=3, bank_width=bank_width, bank_channels=2,
+                          stack_layers=stack_layers, hidden_dim=4)
+    seqs = [seq(0, 3, 4, 5, 1), seq(0, 5, 2, 3, 1), seq(0, 4, 4, 2, 1)]
+    ids = np.array([s.ids for s in seqs])
+    params = next(p for p in (init_potential_params(cfg, s) for s in range(100))
+                  if gradcheck._min_conv_preactivation(p, seqs) > gradcheck.KINK_MARGIN)
+    scales = np.array([1.7, -0.6, 0.9])
+    _, cache = potential_phi_batch(params, ids)
+    assert len(cache["conv"]) == (bank_width > 0) + stack_layers
+    analytic = params.views(potential_backward_batch(params, cache, scales))
+    numeric = numeric_grad_tensors(
+        lambda: float(scales @ potential_phi_batch(params, ids)[0]), params.tensors)
+    errs = relative_errors(analytic, numeric)
+    assert max(errs.values()) < 1e-5, errs
 
 
 def test_lstm_layer_gradient():

@@ -11,7 +11,6 @@ import argparse
 import configparser
 import math
 import os
-import shutil
 import sys
 from importlib import resources
 
@@ -343,15 +342,8 @@ def cmd_train_trf(args) -> int:
                f"{'' if r.zeta_gap_sq is None else fmt(r.zeta_gap_sq)}" for r in result.epochs]
     atomic_write_text(os.path.join(out, "metrics_epochs.csv"), "\n".join(epochs) + "\n")
 
-    corpus_mod.save_vocabulary(vocab, os.path.join(out, "vocab.txt"))
-    serialize.save_potential(params, os.path.join(out, "potential.json"))
     ngram_mod.save_ngram(noise_base, os.path.join(out, "noise_ngram.json"))
-    bundle_ref = None
-    if ref_file is not None:
-        bundle_ref = "reference" + os.path.splitext(ref_file)[1]
-        shutil.copyfile(ref_file, os.path.join(out, bundle_ref))
-    serialize.save_trf_bundle(model, os.path.join(out, "trf.json"),
-                              "potential.json", "vocab.txt", bundle_ref)
+    serialize.save_trf_bundle(model, out, ref_file)
     last = result.epochs[-1]
     gap = "" if last.zeta_gap_sq is None else f" zeta_gap_sq={fmt(last.zeta_gap_sq)}"
     print(f"train-trf: epochs={len(result.epochs)} steps={len(result.steps)} "

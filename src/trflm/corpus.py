@@ -177,6 +177,18 @@ def load_vocabulary(path) -> Vocabulary:
         raise ValueError(f"vocabulary file {path}: {exc}") from None
 
 
+def check_rows(ids: np.ndarray, vocab_size: int, bos: int, eos: int) -> None:
+    """Raises ValueError unless every row of the (N, l) ids is [begin,
+    payload..., end] over ids below vocab_size, with no boundary symbol inside
+    the payload."""
+    if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
+        raise ValueError("symbol id out of vocabulary range")
+    if ids.shape[1] < 2 or (ids[:, 0] != bos).any() or (ids[:, -1] != eos).any():
+        raise ValueError("sequences must be [begin, payload..., end]")
+    if ((ids[:, 1:-1] == bos) | (ids[:, 1:-1] == eos)).any():
+        raise ValueError("boundary symbol inside payload")
+
+
 def length_buckets(seqs):
     """(row indices, (N, l) int64 ids) for each length l of seqs, ascending in
     l, rows in input order."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import LengthPrior, Sequence, Vocabulary, length_buckets
+from .corpus import Sequence, Vocabulary, empirical_length_prior, length_buckets
 from .nce import nce_gradients, nce_objective
 from .ngram import train_ngram
 from .noise import NoiseDistribution, draw_noise_batch
@@ -114,11 +114,7 @@ def _random_instance(seed: int):
             return Sequence((vocab.bos, *body, vocab.eos))
 
         data = [random_seq(int(rng.integers(2, m + 1))) for _ in range(3)]
-        pi = np.zeros(m)
-        for s in data:
-            pi[len(s) - 1] += 1
-        pi /= pi.sum()
-        prior = LengthPrior(pi)
+        prior = empirical_length_prior(data, m)
         base = train_ngram(data, order=2, vocab=vocab)
         nd = NoiseDistribution(prior, base)
         zeta = rng.uniform(-0.5, 0.5, m)

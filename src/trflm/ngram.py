@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Vocabulary
+from .corpus import Vocabulary, check_rows
 from .util import atomic_write_text, parse_json_file
 
 FORMAT_VERSION = 1
@@ -33,23 +33,12 @@ class NGramModel:
     # tables[k][context_tuple][next_id] -> count; raw at k == order, continuation below
     tables: dict[int, dict[tuple, Counter]]
     discounts: dict[int, float]
-    _dist_cache: dict[tuple, np.ndarray] = field(default_factory=dict, repr=False)
     _rows: dict[tuple, np.ndarray] = field(default_factory=dict, repr=False)
 
     def conditional_dist(self, context) -> np.ndarray:
         """P(. | context) over all vocab_size next symbols; sums to 1 exactly."""
-        ctx = tuple(context)
-        if self.order > 1:
-            ctx = ctx[-(self.order - 1):]
-        else:
-            ctx = ()
-        cached = self._dist_cache.get(ctx)
-        if cached is not None:
-            return cached
-        dist = self._dist(ctx)
-        dist.flags.writeable = False
-        self._dist_cache[ctx] = dist
-        return dist
+        ctx = tuple(context)[-(self.order - 1):] if self.order > 1 else ()
+        return self.table_row(ctx, False)[0]
 
     def _dist(self, ctx: tuple) -> np.ndarray:
         V = self.vocab_size
@@ -70,18 +59,20 @@ class NGramModel:
         return (np.maximum(vec - D, 0.0) + D * types * lower) / total
 
     def table_row(self, ctx: tuple, payload: bool) -> np.ndarray:
-        """Built once per (order-1)-long context: P(. | ctx) as a (1, V) row, or
+        """Built once per context: P(. | ctx) as a read-only (1, V) row, or
         with payload set the (2, V) CDF, built as Generator.choice builds it,
         and probabilities of the renormalized payload restriction."""
         row = self._rows.get((payload, ctx))
         if row is None:
-            row = self.conditional_dist(ctx)[None]
             if payload:
-                p = row[0].copy()
+                p = self.table_row(ctx, False)[0].copy()
                 p[self.bos] = p[self.eos] = 0.0
                 p /= p.sum()
                 cdf = p.cumsum()
                 row = np.array([cdf / cdf[-1], p])
+            else:
+                row = self._dist(ctx)[None]
+                row.flags.writeable = False
             self._rows[(payload, ctx)] = row
         return row
 
@@ -116,15 +107,6 @@ def train_ngram(dataset, order: int, vocab: Vocabulary) -> NGramModel:
     return NGramModel(order, vocab.size, vocab.bos, vocab.eos, tables, discounts)
 
 
-def _check_boundaries(model: NGramModel, ids: np.ndarray) -> None:
-    if ids.shape[1] == 0:
-        raise ValueError("cannot score a length-0 sequence")
-    if ids.shape[1] < 2 or (ids[:, 0] != model.bos).any() or (ids[:, -1] != model.eos).any():
-        raise ValueError("sequence must be [begin, payload..., end]")
-    if ((ids[:, 1:-1] == model.bos) | (ids[:, 1:-1] == model.eos)).any():
-        raise ValueError("boundary symbol inside payload")
-
-
 def _walk(model: NGramModel, ids: np.ndarray, payload: bool, u=None) -> np.ndarray:
     """Sum of log P(symbol | context) over the (N, l) ids, one column at a time
     from table_row: the payload columns under the payload restriction, each
@@ -146,7 +128,7 @@ def _walk(model: NGramModel, ids: np.ndarray, payload: bool, u=None) -> np.ndarr
 def logprob_fixed_length(model: NGramModel, ids: np.ndarray) -> np.ndarray:
     """log p_n(x^l) of each (N, l) row under the given-length restriction: payload
     conditionals renormalized, the end symbol certain. Sums to 1 over a length."""
-    _check_boundaries(model, ids)
+    check_rows(ids, model.vocab_size, model.bos, model.eos)
     return _walk(model, ids, True)
 
 
@@ -162,7 +144,7 @@ def sample_fixed_length(model: NGramModel, u: np.ndarray) -> tuple[np.ndarray, n
 def logprob_sentence(model: NGramModel, ids: np.ndarray) -> np.ndarray:
     """Joint log-probability of each row of the (N, l) ids, the end symbol
     predicted too (no length restriction); the rescoring baseline score."""
-    _check_boundaries(model, ids)
+    check_rows(ids, model.vocab_size, model.bos, model.eos)
     return _walk(model, ids, False)
 
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..corpus import check_rows
 from . import layers
 
 
@@ -64,16 +65,10 @@ init_lstm_lm_params = layers.init_params
 
 
 def _check_batch(cfg: LstmLmConfig, ids: np.ndarray) -> None:
-    n, length = ids.shape
+    length = ids.shape[1]
     if length < 2 or length > cfg.max_len:
         raise ValueError(f"sequence length {length} outside 2..{cfg.max_len}")
-    if n and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
-        raise ValueError("symbol id out of vocabulary range")
-    if (ids[:, 0] != cfg.bos).any() or (ids[:, -1] != cfg.eos).any():
-        raise ValueError("sequences must be [begin, payload..., end]")
-    payload = ids[:, 1:-1]
-    if ((payload == cfg.bos) | (payload == cfg.eos)).any():
-        raise ValueError("boundary symbol inside payload")
+    check_rows(ids, cfg.vocab_size, cfg.bos, cfg.eos)
 
 
 def _steps(cfg: LstmLmConfig, length: int) -> int:

@@ -10,10 +10,11 @@ import itertools
 import json
 import math
 import os
+import shutil
 
 import numpy as np
 
-from .corpus import LengthPrior, Vocabulary, load_vocabulary
+from .corpus import LengthPrior, Vocabulary, load_vocabulary, save_vocabulary
 from .ngram import load_ngram
 from .seqnet.layers import Params
 from .seqnet.lstmlm import LstmLmConfig
@@ -122,23 +123,28 @@ def load_reference(kind: str, path, vocab: Vocabulary, longest: int):
     return NgramReference(model) if kind == "ngram" else LstmReference(model)
 
 
-def save_trf_bundle(model: TrfModel, path, potential_file: str,
-                    vocab_file: str, reference_file: str | None = None) -> None:
-    """The bundle references the potential parameter file and vocabulary by
-    relative path and embeds zeta, the length prior, the reference descriptor,
-    and the tokenization level."""
-    ref = model.reference
+def save_trf_bundle(model: TrfModel, out_dir, reference_file=None) -> None:
+    """Writes the bundle trf.json into out_dir beside the files it names by
+    relative path: the vocabulary, the potential's parameters and a copy of
+    the reference's model file, if any. trf.json embeds zeta, the length
+    prior, the reference descriptor and the tokenization level."""
+    save_vocabulary(model.vocab, os.path.join(out_dir, "vocab.txt"))
+    save_potential(model.potential.params, os.path.join(out_dir, "potential.json"))
+    ref_name = None
+    if reference_file is not None:
+        ref_name = "reference" + os.path.splitext(reference_file)[1]
+        shutil.copyfile(reference_file, os.path.join(out_dir, ref_name))
     doc = {
         "format": "trflm-bundle",
         "version": FORMAT_VERSION,
-        "potential_file": potential_file,
-        "vocab_file": vocab_file,
+        "potential_file": "potential.json",
+        "vocab_file": "vocab.txt",
         "level": model.level,
         "zeta": model.zeta.tolist(),
         "pi": model.length_prior.probs.tolist(),
-        "reference": {"kind": ref.kind, "file": reference_file},
+        "reference": {"kind": model.reference.kind, "file": ref_name},
     }
-    atomic_write_text(path, json.dumps(doc, indent=1))
+    atomic_write_text(os.path.join(out_dir, "trf.json"), json.dumps(doc, indent=1))
 
 
 def _bundle_from_doc(doc, base: str) -> TrfModel:

@@ -154,3 +154,23 @@ def test_tokenize_levels():
     assert corpus.tokenize("a bc", "char") == ["a", "b", "c"]
     with pytest.raises(ValueError):
         corpus.tokenize("a", "phoneme")
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([(0, 3, 1), (0, 5, 1)], "vocabulary range"),
+    ([(0, -1, 1)], "vocabulary range"),
+    ([()], r"\[begin, payload\.\.\., end\]"),
+    ([(0,)], r"\[begin, payload\.\.\., end\]"),
+    ([(0, 3, 1), (3, 3, 1)], r"\[begin, payload\.\.\., end\]"),
+    ([(0, 3, 3)], r"\[begin, payload\.\.\., end\]"),
+    ([(0, 0, 1)], "boundary symbol inside payload"),
+    ([(0, 3, 1, 1)], "boundary symbol inside payload"),
+])
+def test_check_rows_names_the_broken_rule(rows, message):
+    with pytest.raises(ValueError, match=message):
+        corpus.check_rows(np.array(rows, dtype=np.int64), 5, 0, 1)
+
+
+def test_check_rows_accepts_well_formed_rows():
+    for rows in ([(0, 1)], [(0, 2, 4, 1), (0, 3, 3, 1)], np.zeros((0, 4), dtype=np.int64)):
+        corpus.check_rows(np.array(rows, dtype=np.int64), 5, 0, 1)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trflm import serialize
-from trflm.corpus import LengthPrior, Vocabulary, encode, save_vocabulary
+from trflm.corpus import LengthPrior, Vocabulary, encode
 from trflm.ngram import load_ngram, save_ngram, train_ngram
 from trflm.seqnet import (LstmLmConfig, NeuralPotential, PotentialConfig,
                           init_lstm_lm_params, init_potential_params)
@@ -29,22 +29,19 @@ JSON = st.recursive(
 @pytest.fixture(scope="module")
 def model_files(tmp_path_factory):
     """kind -> (path, document) of a small valid file of each kind; the bundle
-    names the potential, LSTM reference and vocabulary beside it."""
+    trf.json names the potential, LSTM reference and vocabulary beside it."""
     d = tmp_path_factory.mktemp("models")
     vocab = Vocabulary(("<s>", "</s>", "<unk>", "a", "b"))
-    save_vocabulary(vocab, d / "vocab.txt")
     words = [encode(w, vocab, level="char") for w in ("a", "ab", "ba", "b")]
     save_ngram(train_ngram(words, 2, vocab), d / "ngram.json")
     potential = init_potential_params(PotentialConfig(vocab.size, emb_dim=2, hidden_dim=2), 0)
-    serialize.save_potential(potential, d / "potential.json")
     lstm = init_lstm_lm_params(LstmLmConfig(vocab.size, emb_dim=2, hidden_dim=2, max_len=4), 0)
     serialize.save_lstm_lm(lstm, d / "lstm.json")
     model = TrfModel(NeuralPotential(potential), np.zeros(4),
                      LengthPrior(np.array([0.0, 0.25, 0.5, 0.25])), LstmReference(lstm), vocab)
-    serialize.save_trf_bundle(model, d / "bundle.json", "potential.json", "vocab.txt",
-                              "lstm.json")
-    return {kind: (d / f"{kind}.json", json.loads((d / f"{kind}.json").read_text()))
-            for kind in READERS}
+    serialize.save_trf_bundle(model, d, d / "lstm.json")
+    files = {kind: d / f"{kind}.json" for kind in READERS} | {"bundle": d / "trf.json"}
+    return {kind: (path, json.loads(path.read_text())) for kind, path in files.items()}
 
 
 def paths(doc, prefix=()):
@@ -124,5 +121,5 @@ def test_lstm_reference_must_score_the_longest_supported_length(model_files):
             continue
         with pytest.raises(ValueError) as exc:
             serialize.load_trf_bundle(longer)
-        assert str(exc.value) == (f"model bundle {longer}: {path.parent / 'lstm.json'} scores "
+        assert str(exc.value) == (f"model bundle {longer}: {path.parent / 'reference.json'} scores "
                                   "lengths up to 4, but the model supports length 5")

@@ -164,7 +164,7 @@ def test_fixed_length_hand_computed_chain(tiny_vocab, toy_corpus):
 
 def assert_rejects_malformed(score, model, vocab):
     bos, eos, a = vocab.bos, vocab.eos, vocab.id_of("a")
-    with pytest.raises(ValueError, match="length-0"):
+    with pytest.raises(ValueError, match=r"\[begin, payload\.\.\., end\]"):
         score(model, row())
     for bad in (row(bos, bos, eos), row(bos, a, eos, eos)):
         with pytest.raises(ValueError, match="boundary symbol inside payload"):
@@ -182,6 +182,26 @@ def test_fixed_length_rejects_malformed(tiny_vocab, toy_corpus):
 def test_sentence_logprob_rejects_malformed(tiny_vocab, toy_corpus):
     model = train_ngram(toy_corpus, 2, tiny_vocab)
     assert_rejects_malformed(logprob_sentence, model, tiny_vocab)
+
+
+@pytest.mark.parametrize("score", [logprob_fixed_length, logprob_sentence])
+def test_scorers_reject_ids_past_the_vocabulary(score, tiny_vocab, toy_corpus):
+    model = train_ngram(toy_corpus, 2, tiny_vocab)
+    for bad in (tiny_vocab.size, -1):
+        with pytest.raises(ValueError, match="vocabulary range"):
+            score(model, row(tiny_vocab.bos, bad, tiny_vocab.eos))
+
+
+def test_conditional_dist_is_the_cached_table_row(tiny_vocab, toy_corpus):
+    model = train_ngram(toy_corpus, 3, tiny_vocab)
+    a = tiny_vocab.id_of("a")
+    dist = model.conditional_dist((tiny_vocab.bos, tiny_vocab.bos, a))   # trimmed to 2 ids
+    assert np.shares_memory(dist, model.table_row((tiny_vocab.bos, a), False))
+    assert not dist.flags.writeable
+    cdf, p = model.table_row((tiny_vocab.bos, a), True)
+    want = np.array(dist)
+    want[[tiny_vocab.bos, tiny_vocab.eos]] = 0.0
+    assert np.array_equal(p, want / want.sum()) and cdf[-1] == 1.0
 
 
 def test_sampler_deterministic(tiny_vocab, toy_corpus):

@@ -310,17 +310,17 @@ def cmd_train_trf(args) -> int:
     cfg.require_section("corpus", "model", "noise", "training", "output")
     nce_cfg = nce_config(cfg)
     vocab, train, valid, level, max_len = _load_corpus(cfg)
-    prior = corpus_mod.empirical_length_prior(train, max_len)
-    reference, ref_file = _reference(cfg, vocab, max(prior.supported_lengths))
-    noise_base = ngram_mod.train_ngram(train, cfg.get("noise", "order"), vocab)
-    nd = NoiseDistribution(prior, noise_base)
-
     pot_cfg = PotentialConfig(
         vocab_size=vocab.size, emb_dim=cfg.get("model", "emb_dim"),
         bank_width=cfg.get("model", "bank_width"),
         bank_channels=cfg.get("model", "bank_channels"),
         stack_layers=cfg.get("model", "stack_layers"),
         hidden_dim=cfg.get("model", "hidden_dim"))
+    prior = corpus_mod.empirical_length_prior(train, max_len)
+    reference, ref_file = _reference(cfg, vocab, max(prior.supported_lengths))
+    noise_base = ngram_mod.train_ngram(train, cfg.get("noise", "order"), vocab)
+    nd = NoiseDistribution(prior, noise_base)
+
     seed = cfg.get("training", "seed")
     params = init_potential_params(pot_cfg, derive_rng(seed, "init"))
     model = TrfModel(NeuralPotential(params),

@@ -23,7 +23,7 @@ import numpy as np
 from .corpus import Sequence, Vocabulary, empirical_length_prior, length_buckets
 from .nce import nce_gradients, nce_objective
 from .ngram import train_ngram
-from .noise import NoiseDistribution, draw_noise_batch
+from .noise import NoiseDistribution, draw_noise_batch, noise_logprob_batch
 from .seqnet.potential import (NeuralPotential, PotentialConfig,
                                init_potential_params, potential_backward_batch,
                                potential_phi_batch)
@@ -147,10 +147,12 @@ def check_seed(seed: int) -> tuple[GradCheckReport, GradCheckReport, GradCheckRe
         lambda: scale * float(potential_phi_batch(params, ids)[0][0]), params.tensors)
     phi = _worst(relative_errors(analytic, numeric), f"phi/theta seed={seed}", 1e-5)
 
-    def objective():
-        return nce_objective(model, nd, data, noise)
+    data_log_pn = noise_logprob_batch(nd, data)   # the probes move no noise density
 
-    g_theta, g_zeta, _ = nce_gradients(model, nd, data, noise)
+    def objective():
+        return nce_objective(model, nd, data, noise, data_log_pn)
+
+    g_theta, g_zeta, _ = nce_gradients(model, nd, data, noise, data_log_pn)
     numeric = numeric_grad_tensors(objective, params.tensors)
     theta = _worst(relative_errors(params.views(g_theta), numeric), f"J/theta seed={seed}", 1e-5)
     numeric = numeric_grad_tensors(objective, {"zeta": model.zeta})

@@ -94,9 +94,10 @@ def _objective(delta: np.ndarray, data_count: int, nu: int) -> float:
 
 
 def nce_objective(model: TrfModel, nd: NoiseDistribution, data_batch,
-                  noise_batch: NoiseBatch) -> float:
+                  noise_batch: NoiseBatch, data_log_pn=None) -> float:
+    """J of the batch; data_log_pn optionally holds log p_n of the data rows."""
     delta, _ = _score(model, nd, data_batch, noise_batch,
-                      lambda ids: (model.potential.phi_batch(ids), None))
+                      lambda ids: (model.potential.phi_batch(ids), None), data_log_pn)
     return _objective(delta, len(data_batch), noise_batch.nu)
 
 

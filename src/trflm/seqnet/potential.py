@@ -48,11 +48,12 @@ class PotentialConfig:
         for name in ("bank_width", "bank_channels", "stack_layers"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
-        if self.bank_width > 0 and self.bank_channels < 1:
-            raise ValueError("bank_channels must be >= 1 when the bank is enabled")
+        if self.bank_channels < 1 and (self.bank_width > 0 or self.stack_layers > 1):
+            raise ValueError("bank_channels must be >= 1 when the bank is enabled or "
+                             "stack_layers > 1, whose inner layers output that many channels")
         if self.bank_width > 0 and self.stack_layers < 1:
-            raise ValueError("a spliced convolution bank needs at least one "
-                             "stacked convolution to project back to emb_dim")
+            raise ValueError("stack_layers must be >= 1 when the bank is enabled, to "
+                             "project the splice back to emb_dim")
 
     def param_shapes(self):
         """(name, shape) of every tensor, in initialization order."""

@@ -166,10 +166,10 @@ def ablation_curves(pilot_setting):
 # -- criteria --------------------------------------------------------------------
 
 
-def test_criterion_1_gradient_correctness():
-    from trflm.gradcheck import run_suite
+def test_criterion_1_gradient_correctness(seed_reports):
+    # gradcheck.run_suite(range(20)), through the session's per-seed cache
     t0 = time.monotonic()
-    reports = run_suite(range(20))
+    reports = [r for seed in range(20) for r in seed_reports(seed)]
     elapsed = time.monotonic() - t0
     worst = max(reports, key=lambda r: r.max_rel_error / r.threshold)
     ok = all(r.passed for r in reports) and elapsed < 120

@@ -170,6 +170,17 @@ def test_bad_setting_is_one_error_line(micro, capsys, argv, setting, says):
     assert not os.path.exists("micro/out") and not os.path.exists("p")   # no partial output
 
 
+def test_stack_without_inner_channels_is_one_error_line(micro, capsys, monkeypatch):
+    # no bank and bank_channels = 0 leave a second stacked layer no inputs
+    monkeypatch.setattr(cli.ngram_mod, "train_ngram", lambda *a: pytest.fail("set-up ran"))
+    with open("micro.ini", "w") as f:
+        f.write(with_setting("model", "stack_layers", "2"))
+    assert main(["train-trf", "-c", "micro.ini"]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: bank_channels must be >= 1 ") and err.count("\n") == 1
+    assert not out and not os.path.exists("micro/out")
+
+
 def test_negative_convolution_sizes_are_one_error_line(micro, capsys):
     # -1 is truthy, so such a model would pass for one with convolutions
     sizes = "bank_width = -1\nbank_channels = -5\nstack_layers = -2\n"

@@ -168,6 +168,16 @@ def test_gradients_objective_equals_nce_objective(setting):
     assert stats.j == nce_objective(model, nd, batch, noise)
 
 
+def test_objective_reads_given_data_noise_densities(setting, monkeypatch):
+    from trflm import nce
+    from trflm.noise import noise_logprob_batch
+    model, nd, batch, noise = neural_step_setting(setting)
+    data_log_pn = noise_logprob_batch(nd, batch)
+    want = nce_objective(model, nd, batch, noise)
+    monkeypatch.setattr(nce, "noise_logprob_batch", lambda *a: pytest.fail("recomputed"))
+    assert nce_objective(model, nd, batch, noise, data_log_pn) == want
+
+
 def test_last_epoch_gaps_match_zeta_gap(setting):
     from trflm.trf import nll, with_exact_zeta, zeta_gap
     vocab, pi, nd, data = setting

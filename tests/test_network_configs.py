@@ -99,5 +99,5 @@ def test_every_accepted_lstm_lm_config_trains(**keys):
     (dict(bank_width=2, bank_channels=3), "stack_layers"),
 ])
 def test_potential_config_names_the_key_a_layer_reads(keys, named):
-    with pytest.raises(ValueError, match=named):
+    with pytest.raises(ValueError, match=f"^{named} must be >= 1 "):
         PotentialConfig(vocab_size=5, emb_dim=2, hidden_dim=2, **keys)
